@@ -2,13 +2,16 @@
 
 Interactive-speed capture borrows Smoke's split between *recording* and
 *materialising* lineage.  Operators hand the runtime compact columnar
-descriptors (:class:`~repro.core.model.RegionBatch` /
-:class:`~repro.core.model.ElementwiseBatch` — packed coordinate arrays plus
-offset vectors, no per-pair Python objects); the expensive lowering into
-codecs, hash tables and R-trees runs off the critical path on a single
-background encode worker, so encoding node ``N``'s lineage overlaps
+descriptors (:class:`~repro.core.model.RegionBatch` plus the two unit-row
+forms — packed coordinate arrays and offset vectors; per-pair ``lwrite``
+calls are staged into the same columns, never stored as objects); the
+expensive lowering into codecs, hash tables and R-trees is one job,
+``LineageRuntime._encode_sink``.  Deferred capture submits that job to a
+single background encode worker, so encoding node ``N``'s lineage overlaps
 computing node ``N+1`` (and, via :meth:`LineageRuntime.flush_all_async`,
-flushing generation ``N`` overlaps the workflow that produces ``N+1``).
+flushing generation ``N`` overlaps the workflow that produces ``N+1``);
+eager capture runs the very same job inline on the workflow thread and
+never touches the worker.
 
 The worker is *bounded*: at most :data:`CAPTURE_QUEUE_DEPTH` jobs may be in
 flight before the submitting thread blocks — backpressure, not unbounded
@@ -31,19 +34,11 @@ from repro.core.model import BufferSink
 __all__ = [
     "CAPTURE_QUEUE_DEPTH",
     "CapturePipeline",
-    "DeferredSink",
     "sink_nbytes",
 ]
 
 #: in-flight background encode jobs before submitters block (backpressure)
 CAPTURE_QUEUE_DEPTH = 4
-
-
-class DeferredSink(BufferSink):
-    """A :class:`BufferSink` whose encoding is parked for the background
-    worker.  Buffering behaviour is identical — the runtime keys deferral
-    off its own capture mode — but the distinct type lets tests and
-    debuggers see which sinks travelled the deferred path."""
 
 
 def sink_nbytes(sink: BufferSink) -> int:
@@ -67,12 +62,6 @@ def sink_nbytes(sink: BufferSink) -> int:
             total += int(pbatch.payloads.nbytes)
         else:
             total += sum(len(p) for p in pbatch.payloads)
-    for pair in sink.pairs:
-        total += pair.outcells.nbytes
-        if pair.is_payload:
-            total += len(pair.payload)
-        else:
-            total += sum(arr.nbytes for arr in pair.incells)
     return total
 
 

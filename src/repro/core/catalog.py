@@ -721,6 +721,11 @@ class StoreCatalog:
             with open(path, encoding="utf-8") as fh:
                 manifest = json.load(fh)
         except OSError as exc:
+            if os.path.exists(os.path.join(directory, "manifest.json")):
+                raise StorageError(
+                    f"{directory!r} holds a manifest.json but no {MANIFEST_NAME}: "
+                    "pre-segment layout, re-flush required"
+                ) from exc
             raise StorageError(f"no lineage catalog at {directory!r}: {exc}") from exc
         except ValueError as exc:
             raise StorageError(f"corrupt lineage catalog {path!r}: {exc}") from exc

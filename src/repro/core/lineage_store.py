@@ -100,7 +100,9 @@ def encode_singleton_int_arrays(values: np.ndarray) -> np.ndarray:
 
 
 def encode_full_value(incells_per_input: list[np.ndarray]) -> bytes:
-    """Serialize one region pair's per-input packed cell sets."""
+    """Serialize one region pair's per-input packed cell sets — the
+    per-pair reference the tests hold :func:`encode_full_values` to; the
+    stores themselves only ever encode whole batches."""
     return b"".join(ser.encode_int_array(np.sort(arr)) for arr in incells_per_input)
 
 
@@ -120,8 +122,8 @@ def _encode_sorted_segmented(
 
     The byte-for-byte vectorised counterpart of ``encode_int_array(sort(s))``
     per segment: one global segmented sort (lexsort keyed by segment owner)
-    feeds :func:`repro.storage.codecs.encode_sorted_sets`, so no per-pair
-    Python work happens on the deferred capture path."""
+    feeds :func:`repro.storage.codecs.encode_sorted_sets`, so lowering a
+    batch costs no per-pair Python work however its pairs were emitted."""
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     counts = np.diff(offsets)
     owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
@@ -199,16 +201,9 @@ class RegionEntryTable:
     # -- writes ----------------------------------------------------------------
 
     def add_entry(self, key_packed: np.ndarray, value: bytes) -> None:
-        key_packed = np.sort(np.ascontiguousarray(key_packed, dtype=np.int64))
-        if key_packed.size == 0:
-            raise StorageError("a region entry needs at least one key cell")
-        # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
-        self._key_chunks.append(key_packed)
-        self._klen_chunks.append(np.asarray([key_packed.size], dtype=np.int64))
-        # zero-copy when the caller already hands over immutable bytes
-        self._val_chunks.append(value if type(value) is bytes else bytes(value))
-        self._vlen_chunks.append(np.asarray([len(value)], dtype=np.int64))
-        self._dirty = True
+        """Add one entry — :meth:`add_entries` with ``n = 1``."""
+        key_packed = np.ascontiguousarray(key_packed, dtype=np.int64)
+        self.add_entries(key_packed, [key_packed.size], value, [len(value)])
 
     def add_entries(
         self,
@@ -221,9 +216,9 @@ class RegionEntryTable:
 
         Entry ``e`` owns ``key_counts[e]`` consecutive cells of
         ``keys_concat`` and ``val_lengths[e]`` consecutive bytes of
-        ``val_buf``.  Key sets are sorted with one segmented lexsort pass —
-        the columnar counterpart of ``n`` :meth:`add_entry` calls, with no
-        per-entry Python objects (the deferred-capture lowering path).
+        ``val_buf``.  Key sets are sorted with one segmented lexsort pass
+        (skipped when every set is a single cell), with no per-entry Python
+        objects — the only table writer the capture path uses.
         """
         keys_concat = np.ascontiguousarray(keys_concat, dtype=np.int64)
         key_counts = np.ascontiguousarray(key_counts, dtype=np.int64)
@@ -237,11 +232,13 @@ class RegionEntryTable:
         val_lengths = np.ascontiguousarray(val_lengths, dtype=np.int64)
         if val_lengths.size != n or int(val_lengths.sum()) != len(val_buf):
             raise StorageError("value lengths must align with keys and span buffer")
-        owner = np.repeat(np.arange(n, dtype=np.int64), key_counts)
-        order = np.lexsort((keys_concat, owner))
+        if keys_concat.size > n:
+            owner = np.repeat(np.arange(n, dtype=np.int64), key_counts)
+            keys_concat = keys_concat[np.lexsort((keys_concat, owner))]
         # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
-        self._key_chunks.append(keys_concat[order])
+        self._key_chunks.append(keys_concat)
         self._klen_chunks.append(key_counts)
+        # zero-copy when the caller already hands over immutable bytes
         self._val_chunks.append(val_buf if type(val_buf) is bytes else bytes(val_buf))
         self._vlen_chunks.append(val_lengths)
         self._dirty = True
@@ -251,18 +248,9 @@ class RegionEntryTable:
     ) -> None:
         """Bulk-add ``n`` entries whose key side is a single cell each."""
         keys_packed = np.ascontiguousarray(keys_packed, dtype=np.int64)
-        n = keys_packed.size
-        if n == 0:
-            return
-        val_lengths = np.ascontiguousarray(val_lengths, dtype=np.int64)
-        if val_lengths.size != n or int(val_lengths.sum()) != len(val_buf):
-            raise StorageError("value lengths must align with keys and span buffer")
-        # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
-        self._key_chunks.append(keys_packed)
-        self._klen_chunks.append(np.ones(n, dtype=np.int64))
-        self._val_chunks.append(val_buf if type(val_buf) is bytes else bytes(val_buf))
-        self._vlen_chunks.append(val_lengths)
-        self._dirty = True
+        self.add_entries(
+            keys_packed, np.ones(keys_packed.size, dtype=np.int64), val_buf, val_lengths
+        )
 
     def extend_columns(
         self,
@@ -596,36 +584,7 @@ class RegionEntryTable:
 
     @classmethod
     def load(cls, path: str, key_shape: tuple[int, ...]) -> "RegionEntryTable":
-        import struct
-
-        if seglib.is_segment_file(path):
-            return cls.from_segment(seglib.Segment.open(path), "", key_shape)
-        # legacy pre-segment layout: bare counts + columns; boxes and the
-        # R-tree are re-derived by finalize()
-        table = cls(key_shape)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise StorageError(f"cannot load store file {path!r}: {exc}") from exc
-        n, n_keys = struct.unpack_from("<qq", raw, 0)
-        if n == 0:
-            return table
-        offset = 16
-        keys = np.frombuffer(raw, dtype="<i8", count=n_keys, offset=offset).astype(np.int64)
-        offset += 8 * n_keys
-        koff = np.frombuffer(raw, dtype="<i8", count=n + 1, offset=offset).astype(np.int64)
-        offset += 8 * (n + 1)
-        voff = np.frombuffer(raw, dtype="<i8", count=n + 1, offset=offset).astype(np.int64)
-        offset += 8 * (n + 1)
-        vbuf = raw[offset:]
-        table._key_chunks = [keys]
-        table._klen_chunks = [np.diff(koff)]
-        table._val_chunks = [vbuf]
-        table._vlen_chunks = [np.diff(voff)]
-        table._dirty = True
-        table.finalize()
-        return table
+        return cls.from_segment(seglib.Segment.open(path), "", key_shape)
 
     def disk_bytes(self) -> int:
         self.finalize()
@@ -704,8 +663,6 @@ class OpLineageStore:
         return []
 
     # -- persistence -------------------------------------------------------
-
-    SEGMENT_FILENAME = "store.seg"
 
     def _components(self) -> dict[str, object]:
         """Named sub-stores, for flush/load; overridden per layout."""
@@ -867,40 +824,6 @@ class OpLineageStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def flush_to(self, directory: str) -> int:
-        """Persist the store under ``directory``; returns bytes written."""
-        import os
-
-        return self.flush_segment(os.path.join(directory, self.SEGMENT_FILENAME))
-
-    def load_from(self, directory: str) -> None:
-        """Replace every component with its persisted counterpart."""
-        import os
-
-        path = os.path.join(directory, self.SEGMENT_FILENAME)
-        if seglib.segment_files(path):
-            self.load_segment(path)
-        else:
-            self.load_legacy_components(directory)
-
-    def load_legacy_components(self, directory: str) -> None:
-        """Load a pre-segment flush: one ``<component>.bin`` per component
-        (each loader sniffs the magic, so bare legacy files and segment
-        files both parse) — kept so directories flushed before the
-        segmented format still serve."""
-        import os
-
-        for name, component in self._components().items():
-            path = os.path.join(directory, f"{name}.bin")
-            if isinstance(component, HashStore):
-                self._set_component(name, HashStore.load(path, name))
-            elif isinstance(component, BlobStore):
-                self._set_component(name, BlobStore.load(path, name))
-            else:
-                self._set_component(
-                    name, RegionEntryTable.load(path, component.key_shape)
-                )
-
     # -- generational merge (compaction writer) -------------------------------
 
     def _check_absorb(self, other: "OpLineageStore") -> None:
@@ -1031,18 +954,6 @@ class _FullBackwardOne(OpLineageStore):
             for i, cells in enumerate(batch.incells):
                 in_packed = C.pack_coords(cells, self.in_shapes[i])
                 self._direct[i].put_many_fixed(out_packed, in_packed)
-        for pair in sink.pairs:
-            if pair.is_payload:
-                continue
-            value = encode_full_value(
-                [
-                    C.pack_coords(cells, self.in_shapes[i])
-                    for i, cells in enumerate(pair.incells)
-                ]
-            )
-            ref = self._blobs.append(value)
-            out_packed = C.pack_coords(pair.outcells, self.out_shape)
-            self._refs.put_many_fixed(out_packed, np.full(out_packed.size, ref))
         for rb in sink.region_batches:
             if rb.is_payload:
                 continue
@@ -1157,16 +1068,6 @@ class _FullBackwardMany(OpLineageStore):
             rows = np.concatenate(encoded, axis=1)
             lengths = np.full(out_packed.size, rows.shape[1], dtype=np.int64)
             self._table.add_singleton_entries(out_packed, rows.tobytes(), lengths)
-        for pair in sink.pairs:
-            if pair.is_payload:
-                continue
-            value = encode_full_value(
-                [
-                    C.pack_coords(cells, self.in_shapes[i])
-                    for i, cells in enumerate(pair.incells)
-                ]
-            )
-            self._table.add_entry(C.pack_coords(pair.outcells, self.out_shape), value)
         for rb in sink.region_batches:
             if rb.is_payload:
                 continue
@@ -1269,14 +1170,6 @@ class _FullForwardOne(OpLineageStore):
             for i, cells in enumerate(batch.incells):
                 in_packed = C.pack_coords(cells, self.in_shapes[i])
                 self._direct[i].put_many_fixed(in_packed, out_packed)
-        for pair in sink.pairs:
-            if pair.is_payload:
-                continue
-            out_packed = np.sort(C.pack_coords(pair.outcells, self.out_shape))
-            ref = self._blobs.append(ser.encode_int_array(out_packed))
-            for i, cells in enumerate(pair.incells):
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
-                self._refs[i].put_many_fixed(in_packed, np.full(in_packed.size, ref))
         for rb in sink.region_batches:
             if rb.is_payload:
                 continue
@@ -1389,16 +1282,6 @@ class _FullForwardMany(OpLineageStore):
                 self._tables[i].add_singleton_entries(
                     in_packed, rows.tobytes(), lengths
                 )
-        for pair in sink.pairs:
-            if pair.is_payload:
-                continue
-            value = ser.encode_int_array(
-                np.sort(C.pack_coords(pair.outcells, self.out_shape))
-            )
-            for i, cells in enumerate(pair.incells):
-                self._tables[i].add_entry(
-                    C.pack_coords(cells, self.in_shapes[i]), value
-                )
         for rb in sink.region_batches:
             if rb.is_payload:
                 continue
@@ -1507,11 +1390,6 @@ class _PayBackwardOne(OpLineageStore):
                 offsets = np.zeros(out_packed.size + 1, dtype=np.int64)
                 np.cumsum(lengths, out=offsets[1:])
                 self._hash.put_many(out_packed, buf, offsets)
-        for pair in sink.pairs:
-            if not pair.is_payload:
-                continue
-            out_packed = C.pack_coords(pair.outcells, self.out_shape)
-            self._hash.put_many_shared(out_packed, pair.payload)
         for rb in sink.region_batches:
             if not rb.is_payload:
                 continue
@@ -1601,12 +1479,6 @@ class _PayBackwardMany(OpLineageStore):
                 buf = b"".join(batch.payloads)
                 lengths = np.asarray([len(p) for p in batch.payloads], dtype=np.int64)
                 self._table.add_singleton_entries(out_packed, buf, lengths)
-        for pair in sink.pairs:
-            if not pair.is_payload:
-                continue
-            self._table.add_entry(
-                C.pack_coords(pair.outcells, self.out_shape), pair.payload
-            )
         for rb in sink.region_batches:
             if not rb.is_payload:
                 continue

@@ -6,10 +6,22 @@ input array.  Payload pairs replace the input cells with a small opaque blob
 that a payload function (``map_p``) expands back into input cells at query
 time (§V-A.3).
 
-Operators emit pairs through the :class:`LineageSink` API.  Two *batch*
-forms exist so hot loops (e.g. one pair per pixel across a megapixel image)
-can hand the runtime whole coordinate arrays instead of a million Python
-objects; a batch row ``i`` denotes its own independent region pair.
+Operators emit pairs through the :class:`LineageSink` API, and a sink holds
+exactly three record forms:
+
+:class:`RegionBatch`
+    The general form: ``n`` region pairs as packed coordinate columns plus
+    offset vectors.  ``lwrite_batch`` / ``lwrite_payload_regions`` record
+    one directly; the per-pair ``lwrite`` / ``lwrite_payload`` calls are
+    *staged* column-wise by :meth:`BufferSink.add_pair` and sealed into
+    region batches when the sink is first read — no per-pair record is
+    ever stored, and every consumer lowers one form.
+:class:`ElementwiseBatch` / :class:`PayloadBatch`
+    The two *unit-row* forms (row ``i`` is one output cell with one input
+    cell per input, or one payload).  They stay separate because they
+    select a different on-disk layout — the value is inlined into the
+    ``direct*`` hash stores instead of referenced through a shared entry —
+    and, for payloads, the vectorised ``map_p_batch`` query path.
 
 The query executor tracks intermediate results as a :class:`Frontier` — the
 paper's in-memory boolean array with one bit per cell, which deduplicates
@@ -19,7 +31,7 @@ for free and makes "all bits set" checks cheap (§VI-C).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -128,9 +140,9 @@ class RegionBatch:
     Pair ``i`` relates ``out_coords[out_offsets[i]:out_offsets[i+1]]`` to
     either ``in_coords[k][in_offsets[k][i]:in_offsets[k][i+1]]`` per input
     ``k`` (full pairs) or ``payloads[payload_offsets[i]:payload_offsets[i+1]]``
-    (payload pairs).  This is the deferred-materialisation descriptor: one
-    batch carries thousands of pairs with zero per-pair Python objects, and
-    the stores lower it to codecs/hash tables in whole-array passes.
+    (payload pairs).  This is the one general record form: a batch carries
+    thousands of pairs with zero per-pair Python objects, and the stores
+    lower it to codecs/hash tables in whole-array passes.
     """
 
     out_coords: np.ndarray  # (K, ndim_out) int64
@@ -158,12 +170,16 @@ class RegionBatch:
             for arr, off in zip(self.in_coords, self.in_offsets):
                 if off.size != n + 1 or int(off[0]) != 0 or int(off[-1]) != len(arr):
                     raise LineageError("region batch in_offsets do not cover in_coords")
+                if (np.diff(off) < 0).any():
+                    raise LineageError("region batch in_offsets must be non-decreasing")
         else:
             off = self.payload_offsets
             if off is None or off.size != n + 1 or int(off[0]) != 0 or int(
                 off[-1]
             ) != len(self.payloads):
                 raise LineageError("region batch payload_offsets do not cover payloads")
+            if (np.diff(off) < 0).any():
+                raise LineageError("region batch payload_offsets must be non-decreasing")
 
     @property
     def is_payload(self) -> bool:
@@ -177,27 +193,28 @@ class RegionBatch:
     def arity(self) -> int:
         return len(self.in_coords) if self.in_coords is not None else 0
 
-    def pair_at(self, i: int) -> RegionPair:
-        """Materialise pair ``i`` as a :class:`RegionPair` (slow path)."""
-        outcells = self.out_coords[int(self.out_offsets[i]) : int(self.out_offsets[i + 1])]
-        if self.in_coords is not None:
-            incells = tuple(
-                arr[int(off[i]) : int(off[i + 1])]
-                for arr, off in zip(self.in_coords, self.in_offsets)
-            )
-            return RegionPair(outcells=outcells, incells=incells)
-        lo = int(self.payload_offsets[i])
-        hi = int(self.payload_offsets[i + 1])
-        return RegionPair(outcells=outcells, payload=self.payloads[lo:hi])
+
+def _offsets_of(chunks: list) -> np.ndarray:
+    """``(n+1,)`` offset vector over the lengths of ``chunks``."""
+    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, chunks), np.int64, len(chunks)), out=offsets[1:])
+    return offsets
+
+
+def _stack_rows(chunks: list[np.ndarray]) -> np.ndarray:
+    try:
+        return np.concatenate(chunks)
+    except ValueError as exc:
+        raise LineageError(
+            f"region pairs of one operator disagree on dimensionality: {exc}"
+        ) from None
 
 
 class LineageSink:
     """Receiver for an operator's ``lwrite`` calls (see Table I).
 
-    The workflow runtime installs a buffering sink; the re-executor installs
-    a capturing sink.  Subclasses override the ``add_*`` hooks;
-    :meth:`add_region_batch` has a pair-decomposing default so existing
-    custom sinks keep working with batch-emitting operators.
+    The workflow runtime and the re-executor both install a
+    :class:`BufferSink`; subclasses override the ``add_*`` hooks.
     """
 
     def add_pair(self, pair: RegionPair) -> None:
@@ -210,21 +227,45 @@ class LineageSink:
         raise NotImplementedError
 
     def add_region_batch(self, batch: RegionBatch) -> None:
-        for i in range(batch.count):
-            self.add_pair(batch.pair_at(i))
+        raise NotImplementedError
 
 
-@dataclass
 class BufferSink(LineageSink):
-    """In-memory sink used by the runtime and the re-executor."""
+    """In-memory sink used by the runtime and the re-executor.
 
-    pairs: list[RegionPair] = field(default_factory=list)
-    elementwise: list[ElementwiseBatch] = field(default_factory=list)
-    payload_batches: list[PayloadBatch] = field(default_factory=list)
-    region_batches: list[RegionBatch] = field(default_factory=list)
+    Holds the three record forms of the module docstring.  Per-pair calls
+    are staged column-wise (one list per coordinate column, so staging a
+    pair is a few list appends) and sealed into :class:`RegionBatch`es the
+    first time :attr:`region_batches` is read — i.e. when the sink is
+    handed to the runtime or the re-executor.
+    """
+
+    def __init__(self) -> None:
+        self.elementwise: list[ElementwiseBatch] = []
+        self.payload_batches: list[PayloadBatch] = []
+        self._region_batches: list[RegionBatch] = []
+        # staged full pairs: out cells, then one column per input
+        self._full_out: list[np.ndarray] = []
+        self._full_in: list[list[np.ndarray]] = []
+        # staged payload pairs
+        self._pay_out: list[np.ndarray] = []
+        self._pay_blobs: list[bytes] = []
 
     def add_pair(self, pair: RegionPair) -> None:
-        self.pairs.append(pair)
+        if pair.is_payload:
+            self._pay_out.append(pair.outcells)
+            self._pay_blobs.append(pair.payload)
+            return
+        if not self._full_out:
+            self._full_in = [[] for _ in pair.incells]
+        elif len(pair.incells) != len(self._full_in):
+            raise LineageError(
+                f"region pair names {len(pair.incells)} inputs; earlier pairs "
+                f"of this operator named {len(self._full_in)}"
+            )
+        self._full_out.append(pair.outcells)
+        for column, cells in zip(self._full_in, pair.incells):
+            column.append(cells)
 
     def add_elementwise(self, batch: ElementwiseBatch) -> None:
         self.elementwise.append(batch)
@@ -233,22 +274,50 @@ class BufferSink(LineageSink):
         self.payload_batches.append(batch)
 
     def add_region_batch(self, batch: RegionBatch) -> None:
-        self.region_batches.append(batch)
+        self._region_batches.append(batch)
+
+    @property
+    def region_batches(self) -> list[RegionBatch]:
+        """Every general-form record, staged per-pair rows included (they
+        are sealed — concatenated into one full and one payload batch — on
+        the way out, in whole-array passes)."""
+        if self._full_out:
+            self._region_batches.append(
+                RegionBatch(
+                    out_coords=_stack_rows(self._full_out),
+                    out_offsets=_offsets_of(self._full_out),
+                    in_coords=tuple(_stack_rows(col) for col in self._full_in),
+                    in_offsets=tuple(_offsets_of(col) for col in self._full_in),
+                )
+            )
+            self._full_out, self._full_in = [], []
+        if self._pay_out:
+            self._region_batches.append(
+                RegionBatch(
+                    out_coords=_stack_rows(self._pay_out),
+                    out_offsets=_offsets_of(self._pay_out),
+                    payloads=b"".join(self._pay_blobs),
+                    payload_offsets=_offsets_of(self._pay_blobs),
+                )
+            )
+            self._pay_out, self._pay_blobs = [], []
+        return self._region_batches
 
     @property
     def n_pairs(self) -> int:
+        """Region pairs recorded, counted as rows (a batch of ``n`` is ``n``)."""
         return (
-            len(self.pairs)
-            + sum(b.count for b in self.elementwise)
+            sum(b.count for b in self.elementwise)
             + sum(b.count for b in self.payload_batches)
             + sum(b.count for b in self.region_batches)
         )
 
     def clear(self) -> None:
-        self.pairs.clear()
         self.elementwise.clear()
         self.payload_batches.clear()
-        self.region_batches.clear()
+        self._region_batches.clear()
+        self._full_out, self._full_in = [], []
+        self._pay_out, self._pay_blobs = [], []
 
 
 class Frontier:

@@ -4,7 +4,8 @@ When a lineage query reaches an operator that stored only black-box
 lineage, the operator is re-run on its persisted input versions with
 ``cur_modes = {Full}`` (or the richest pair mode it supports); the resulting
 ``lwrite()`` calls are captured in a :class:`~repro.core.model.BufferSink`
-and joined against the query cells.
+(per-pair calls sealed into columnar region batches, as on the capture
+path) and joined against the query cells in whole-array passes.
 
 Mapping operators have nothing to capture: re-execution pays the compute
 cost (the black-box penalty the paper measures) and the join then uses the
@@ -13,7 +14,6 @@ mapping functions.  Un-instrumented operators degrade to all-to-all.
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import numpy as np
@@ -137,19 +137,6 @@ def join_sink_backward(
     def mark(hit_packed: np.ndarray) -> None:
         matched[np.isin(qpacked, hit_packed)] = True
 
-    for pair in itertools.chain(sink.pairs, _payload_batch_pairs(sink)):
-        outp = C.pack_coords(pair.outcells, out_shape)
-        hit = outp[C.isin_sorted(outp, query)]
-        if hit.size == 0:
-            continue
-        mark(hit)
-        if pair.is_payload:
-            cells = op.map_p_many(
-                C.unpack_coords(hit, out_shape), pair.payload, input_idx
-            )
-            parts.append(C.pack_coords(cells, in_shape))
-        else:
-            parts.append(C.pack_coords(pair.incells[input_idx], in_shape))
     for batch in sink.elementwise:
         outp = C.pack_coords(batch.outcells, out_shape)
         mask = C.isin_sorted(outp, query)
@@ -172,8 +159,6 @@ def join_sink_backward(
         cells, _ = op.map_p_batch(coords, payloads, input_idx)
         parts.append(C.pack_coords(cells, in_shape))
     for rb in sink.region_batches:
-        if rb.is_payload:
-            continue  # handled via _payload_batch_pairs above
         outp = C.pack_coords(rb.out_coords, out_shape)
         hit_mask = C.isin_sorted(outp, query)
         if not hit_mask.any():
@@ -182,6 +167,18 @@ def join_sink_backward(
         owner = np.repeat(
             np.arange(rb.count, dtype=np.int64), np.diff(rb.out_offsets)
         )
+        if rb.is_payload:
+            # map_p is op-defined per pair: one call per *hit* pair over its
+            # hit cells (owner ascends, so a pair's hits are contiguous)
+            hit_coords = rb.out_coords[hit_mask]
+            pairs, starts = np.unique(owner[hit_mask], return_index=True)
+            ends = np.append(starts[1:], hit_coords.shape[0])
+            poff = rb.payload_offsets
+            for pair, lo, hi in zip(pairs, starts, ends):
+                payload = rb.payloads[poff[pair] : poff[pair + 1]]
+                cells = op.map_p_many(hit_coords[lo:hi], payload, input_idx)
+                parts.append(C.pack_coords(cells, in_shape))
+            continue
         hit_pairs = np.zeros(rb.count, dtype=bool)
         hit_pairs[owner[hit_mask]] = True
         in_off = rb.in_offsets[input_idx]
@@ -192,17 +189,6 @@ def join_sink_backward(
             )
     result = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     return result, matched
-
-
-def _payload_batch_pairs(sink: BufferSink):
-    """Materialise the payload region batches as pairs — payload expansion
-    is inherently per-pair (``map_p``), so these join via the pair path."""
-    return (
-        rb.pair_at(i)
-        for rb in sink.region_batches
-        if rb.is_payload
-        for i in range(rb.count)
-    )
 
 
 def join_sink_forward(
@@ -223,27 +209,6 @@ def join_sink_forward(
     parts: list[np.ndarray] = []
     covered_parts: list[np.ndarray] = []
 
-    for pair in itertools.chain(sink.pairs, _payload_batch_pairs(sink)):
-        outp = C.pack_coords(pair.outcells, out_shape)
-        if pair.is_payload:
-            covered_parts.append(outp)
-            if op.payload_uniform:
-                cells = op.map_p_many(pair.outcells, pair.payload, input_idx)
-                inp = C.pack_coords(cells, in_shape)
-                if C.isin_sorted(inp, query).any():
-                    parts.append(outp)
-            else:
-                for i in range(pair.outcells.shape[0]):
-                    cells = op.map_p_many(
-                        pair.outcells[i: i + 1], pair.payload, input_idx
-                    )
-                    inp = C.pack_coords(cells, in_shape)
-                    if C.isin_sorted(inp, query).any():
-                        parts.append(outp[i: i + 1])
-        else:
-            inp = C.pack_coords(pair.incells[input_idx], in_shape)
-            if C.isin_sorted(inp, query).any():
-                parts.append(outp)
     for batch in sink.elementwise:
         inp = C.pack_coords(batch.incells[input_idx], in_shape)
         mask = C.isin_sorted(inp, query)
@@ -261,7 +226,21 @@ def join_sink_forward(
             parts.append(outp[hit_rows])
     for rb in sink.region_batches:
         if rb.is_payload:
-            continue  # handled via _payload_batch_pairs above
+            outp = C.pack_coords(rb.out_coords, out_shape)
+            covered_parts.append(outp)
+            ooff, poff = rb.out_offsets, rb.payload_offsets
+            for pair in range(rb.count):
+                payload = rb.payloads[poff[pair] : poff[pair + 1]]
+                # map_p is op-defined per pair: a payload-uniform operator
+                # is asked once per pair, any other once per output cell
+                step = ooff[pair + 1] - ooff[pair] if op.payload_uniform else 1
+                for lo in range(ooff[pair], ooff[pair + 1], step):
+                    cells = op.map_p_many(
+                        rb.out_coords[lo : lo + step], payload, input_idx
+                    )
+                    if C.isin_sorted(C.pack_coords(cells, in_shape), query).any():
+                        parts.append(outp[lo : lo + step])
+            continue
         inp = C.pack_coords(rb.in_coords[input_idx], in_shape)
         mask = C.isin_sorted(inp, query)
         if not mask.any():

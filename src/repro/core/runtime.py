@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis import lockcheck
-from repro.core.capture import CapturePipeline, DeferredSink, sink_nbytes
+from repro.core.capture import CapturePipeline, sink_nbytes
 from repro.core.lineage_store import OpLineageStore, make_store
 from repro.core.model import BufferSink
 from repro.core.modes import BLACKBOX, LineageMode, StorageStrategy
@@ -39,9 +39,9 @@ class LineageRuntime:
         #: the statistics are recorded, and nothing is stored — the paper's
         #: initial black-box phase that feeds the optimizer.
         self.profile = profile
-        #: when True, :meth:`ingest` parks each node's sink and lowers it on
-        #: the background encode worker instead of encoding in the workflow
-        #: thread (deferred materialisation; see :mod:`repro.core.capture`)
+        #: when True, :meth:`ingest` submits each node's lowering job to the
+        #: background encode worker instead of running it inline on the
+        #: workflow thread (deferred materialisation; :mod:`repro.core.capture`)
         self.deferred = deferred
         self._capture = CapturePipeline()
         self._strategies: dict[str, tuple[StorageStrategy, ...]] = {}
@@ -102,12 +102,6 @@ class LineageRuntime:
                 node, strategy, op.output_shape, op.input_shapes
             )
 
-    def make_sink(self) -> BufferSink:
-        """The sink the executor should install for one node's run —
-        a :class:`DeferredSink` in deferred mode so the captured
-        descriptors are recognisably parked for the background worker."""
-        return DeferredSink() if self.deferred else BufferSink()
-
     def ingest(
         self,
         node: str,
@@ -115,65 +109,52 @@ class LineageRuntime:
         out_shape: tuple[int, ...] | None = None,
         in_shapes: tuple[tuple[int, ...], ...] | None = None,
     ) -> float:
-        """Encode everything an operator emitted; returns *foreground*
-        seconds spent.
+        """Account and lower everything an operator emitted; returns the
+        *foreground* seconds spent.
 
-        Eager mode lowers the sink into every assigned store inline.
-        Deferred mode records statistics, parks the sink, and submits the
-        lowering to the background encode worker — the workflow thread pays
-        only descriptor-recording time (``capture_seconds``), and the
-        encode cost lands on ``encode_thread_seconds`` where it overlaps
-        the next node's compute.
+        Both capture modes run the same steps: count the sink's pairs
+        (which seals any staged per-pair rows into region batches), then
+        run :meth:`_encode_sink`.  Deferred mode submits that job to the
+        background encode worker, so the workflow thread pays only for
+        descriptor bookkeeping (``capture_seconds``) and the encode lands
+        on ``encode_thread_seconds`` where it overlaps the next node's
+        compute.  Eager mode — and the profiling phase, which stores
+        nothing and only prices — calls it inline, so the returned seconds
+        include the encode.
 
-        When the executor passes the operator's array shapes, the stats
-        collector also prices a sample of the pairs through the codec layer
-        so the optimizer later budgets against compressed footprints.
+        When the executor passes the operator's array shapes, the job also
+        prices a sample of the pairs through the codec layer so the
+        optimizer later budgets against compressed footprints.
         """
         start = time.perf_counter()
-        if self.deferred and not self.profile:
-            # counts only — the codec-priced footprint sampling runs real
-            # encode passes and belongs on the background worker
-            self.stats.record_sink(node, sink)
-            stores = [
-                (strategy, self._stores[(node, strategy)])
-                for strategy in self.strategies_for(node)
-                if (node, strategy) in self._stores
-            ]
-            if stores or (out_shape is not None and in_shapes is not None):
-                self._capture.submit(
-                    lambda: self._encode_sink(
-                        node, stores, sink, out_shape, in_shapes
-                    )
+        self.stats.record_sink(node, sink)
+        stores = [] if self.profile else [
+            (strategy, self._stores[(node, strategy)])
+            for strategy in self.strategies_for(node)
+            if (node, strategy) in self._stores
+        ]
+        background = self.deferred and not self.profile
+        if background:
+            self._capture.submit(
+                lambda: self.stats.record_encode_thread(
+                    self._encode_sink(node, stores, sink, out_shape, in_shapes)
                 )
-            elapsed = time.perf_counter() - start
-            self.stats.record_capture(elapsed, sink.n_pairs, sink_nbytes(sink))
-            return elapsed
-        self.stats.record_sink(node, sink, out_shape=out_shape, in_shapes=in_shapes)
-        if self.profile:
-            return 0.0
-        total = 0.0
-        for strategy in self.strategies_for(node):
-            store = self._stores.get((node, strategy))
-            if store is None:
-                continue
-            start = time.perf_counter()
-            store.ingest(sink)
-            store.finalize_if_possible()
-            elapsed = time.perf_counter() - start
-            store.write_seconds += elapsed
-            total += elapsed
-            self.stats.record_store(
-                node, strategy.label, elapsed, store.disk_bytes()
             )
-        return total
+        else:
+            self._encode_sink(node, stores, sink, out_shape, in_shapes)
+        elapsed = time.perf_counter() - start
+        if background:
+            self.stats.record_capture(elapsed, sink.n_pairs, sink_nbytes(sink))
+        return elapsed
 
     def _encode_sink(
         self, node: str, stores, sink: BufferSink, out_shape, in_shapes
-    ) -> None:
-        """Background half of a deferred ingest: codec-price the sink for
-        the optimizer, then lower one node's parked descriptors into every
-        assigned store (runs on the single encode worker, preserving each
-        store's single-writer contract)."""
+    ) -> float:
+        """The one routine that lowers a sink: codec-price it for the
+        optimizer, then ingest it into every assigned store; returns the
+        seconds spent.  Runs on the single encode worker (deferred) or the
+        workflow thread (eager) — never both for one runtime, which keeps
+        each store's single-writer contract."""
         total = 0.0
         if out_shape is not None and in_shapes is not None:
             start = time.perf_counter()
@@ -189,7 +170,7 @@ class LineageRuntime:
             self.stats.record_store(
                 node, strategy.label, elapsed, store.disk_bytes()
             )
-        self.stats.record_encode_thread(total)
+        return total
 
     def drain_capture(self) -> None:
         """Join every in-flight background encode/flush job; re-raises the
@@ -215,8 +196,8 @@ class LineageRuntime:
     def resident_store(
         self, node: str, strategy: StorageStrategy
     ) -> OpLineageStore | None:
-        """The in-memory (ingested or legacy-loaded) store only — never
-        opens anything from the catalog."""
+        """The in-memory (ingested) store only — never opens anything from
+        the catalog."""
         return self._stores.get((node, strategy))
 
     def store_for(self, node: str, strategy: StorageStrategy) -> OpLineageStore | None:
@@ -552,12 +533,10 @@ class LineageRuntime:
         eviction); None keeps it unbounded.  A directory holding a
         ``partitions.json`` root manifest attaches as a
         :class:`~repro.storage.partition.PartitionedCatalog` (the budget is
-        split across its partitions); directories flushed before the
-        segmented format (a ``manifest.json`` with per-component ``.bin``
-        files) still load, eagerly, via the legacy fallback."""
-        import os
-
-        from repro.core.catalog import MANIFEST_NAME, StoreCatalog
+        split across its partitions).  A directory flushed before the
+        segmented format (``manifest.json``, no ``catalog.json``) is
+        refused with a :class:`~repro.errors.StorageError` — re-flush it."""
+        from repro.core.catalog import StoreCatalog
         from repro.storage.partition import PartitionedCatalog, is_partitioned_root
 
         if is_partitioned_root(directory):
@@ -566,46 +545,9 @@ class LineageRuntime:
                     directory, memory_budget_bytes=memory_budget_bytes
                 )
             )
-        if not os.path.exists(os.path.join(directory, MANIFEST_NAME)) and os.path.exists(
-            os.path.join(directory, "manifest.json")
-        ):
-            return self._load_legacy_manifest(directory)
         return self.attach_catalog(
             StoreCatalog.open(directory, memory_budget_bytes=memory_budget_bytes)
         )
-
-    def _load_legacy_manifest(self, directory: str) -> int:
-        """Eagerly recreate every store of a pre-segment ``manifest.json``
-        flush (the old directory-of-``.bin``-files layout)."""
-        import json
-        import os
-
-        from repro.core.modes import EncodingKind, Orientation
-
-        with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        loaded = 0
-        for entry in manifest:
-            strategy = StorageStrategy(
-                mode=LineageMode(entry["mode"]),
-                encoding=EncodingKind(entry["encoding"]) if entry["encoding"] else None,
-                orientation=(
-                    Orientation(entry["orientation"]) if entry["orientation"] else None
-                ),
-            )
-            store = make_store(
-                entry["node"],
-                strategy,
-                tuple(entry["out_shape"]),
-                tuple(tuple(s) for s in entry["in_shapes"]),
-            )
-            store.load_legacy_components(os.path.join(directory, entry["dir"]))
-            self._stores[(entry["node"], strategy)] = store
-            existing = self._strategies.get(entry["node"], ())
-            if strategy not in existing:
-                self._strategies[entry["node"]] = existing + (strategy,)
-            loaded += 1
-        return loaded
 
     def attach_catalog(self, catalog) -> int:
         """Serve queries from an already-open :class:`StoreCatalog`."""

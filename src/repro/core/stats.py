@@ -181,15 +181,6 @@ class StatsCollector:
         """
         stats = self.get(node)
         n_pairs = n_out = n_in = pay_bytes = n_pay = n_pay_out = 0
-        for pair in sink.pairs:
-            n_pairs += 1
-            n_out += pair.fanout
-            if pair.is_payload:
-                n_pay += 1
-                n_pay_out += pair.fanout
-                pay_bytes += len(pair.payload)
-            else:
-                n_in += sum(int(cells.shape[0]) for cells in pair.incells)
         for batch in sink.elementwise:
             n_pairs += batch.count
             n_out += batch.count
@@ -203,8 +194,7 @@ class StatsCollector:
                 pay_bytes += int(pbatch.payloads.nbytes)
             else:
                 pay_bytes += sum(len(p) for p in pbatch.payloads)
-        region_batches = list(sink.region_batches)
-        for rb in region_batches:
+        for rb in sink.region_batches:
             n_pairs += rb.count
             n_out += int(rb.out_coords.shape[0])
             if rb.is_payload:
@@ -238,18 +228,16 @@ class StatsCollector:
         Split from :meth:`record_sink` so deferred capture can run the
         sampling on the background encode worker — pricing costs real codec
         passes, which must not land on the workflow thread."""
-        full_pairs = [p for p in sink.pairs if not p.is_payload]
         n_elem = sum(batch.count for batch in sink.elementwise)
         stats = self.get(node)
         enc_in, enc_out = self._predict_encoded_bytes(
-            full_pairs, n_elem, list(sink.region_batches), out_shape, in_shapes
+            n_elem, sink.region_batches, out_shape, in_shapes
         )
         stats.enc_in_bytes = enc_in
         stats.enc_out_bytes = enc_out
 
     @staticmethod
     def _predict_encoded_bytes(
-        full_pairs: list,
         n_elem: int,
         region_batches: list,
         out_shape: tuple[int, ...],
@@ -257,47 +245,31 @@ class StatsCollector:
     ) -> tuple[int, int]:
         """Codec-priced (input-side, output-side) bytes for the full pairs.
 
-        Prices up to :data:`ENC_SAMPLE_PAIRS` pairs exactly — sorted packed
-        coordinates through ``int_array_nbytes``, which mirrors the codec
-        selection byte-for-byte — and extrapolates the rest linearly.
+        Prices the leading :data:`ENC_SAMPLE_PAIRS` pairs exactly — one
+        segmented pass through the codec layer, byte-for-byte what the
+        stores will write — and extrapolates the rest linearly.
         Elementwise batches contribute the fixed singleton layout per cell.
         """
-        sample = full_pairs[:ENC_SAMPLE_PAIRS]
-        in_bytes = out_bytes = 0
-        for pair in sample:
-            for i, cells in enumerate(pair.incells):
-                packed = np.sort(C.pack_coords(cells, in_shapes[i]))
-                in_bytes += ser.int_array_nbytes(packed)
-            packed = np.sort(C.pack_coords(pair.outcells, out_shape))
-            out_bytes += ser.int_array_nbytes(packed)
-        if sample and len(full_pairs) > len(sample):
-            scale = len(full_pairs) / len(sample)
+        full_batches = [rb for rb in region_batches if not rb.is_payload]
+        in_bytes = out_bytes = sampled = 0
+        for rb in full_batches:
+            take = min(rb.count, ENC_SAMPLE_PAIRS - sampled)
+            if take == 0:
+                break
+            out_off = rb.out_offsets[: take + 1]
+            out_bytes += _segmented_nbytes(
+                C.pack_coords(rb.out_coords[: out_off[-1]], out_shape), out_off
+            )
+            for i, cells in enumerate(rb.in_coords):
+                in_off = rb.in_offsets[i][: take + 1]
+                in_bytes += _segmented_nbytes(
+                    C.pack_coords(cells[: in_off[-1]], in_shapes[i]), in_off
+                )
+            sampled += take
+        if sampled:
+            scale = sum(rb.count for rb in full_batches) / sampled
             in_bytes = int(in_bytes * scale)
             out_bytes = int(out_bytes * scale)
-        full_batches = [rb for rb in region_batches if not rb.is_payload]
-        total_rb = sum(rb.count for rb in full_batches)
-        if total_rb:
-            # one vectorised codec pass over the leading sample of each
-            # batch — the per-pair pricing loop would cost more than the
-            # deferred capture path it measures
-            rb_in = rb_out = sampled = 0
-            for rb in full_batches:
-                take = min(rb.count, ENC_SAMPLE_PAIRS - sampled)
-                if take == 0:
-                    break
-                out_off = rb.out_offsets[: take + 1]
-                rb_out += _segmented_nbytes(
-                    C.pack_coords(rb.out_coords[: out_off[-1]], out_shape), out_off
-                )
-                for i, cells in enumerate(rb.in_coords):
-                    in_off = rb.in_offsets[i][: take + 1]
-                    rb_in += _segmented_nbytes(
-                        C.pack_coords(cells[: in_off[-1]], in_shapes[i]), in_off
-                    )
-                sampled += take
-            scale = total_rb / sampled
-            in_bytes += int(rb_in * scale)
-            out_bytes += int(rb_out * scale)
         arity = max(1, len(in_shapes))
         in_bytes += n_elem * arity * _SINGLETON_BYTES
         out_bytes += n_elem * _SINGLETON_BYTES

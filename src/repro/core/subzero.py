@@ -99,8 +99,8 @@ class SubZero:
                 f"capture must be 'deferred' or 'eager', got {capture!r}"
             )
         #: "deferred" (default) parks lwrite descriptors and lowers them on
-        #: a background encode worker; "eager" encodes inline in the
-        #: workflow thread (the pre-pipelining behaviour)
+        #: a background encode worker; "eager" runs the same lowering job
+        #: inline on the workflow thread
         self.capture = capture
         self._strategy_map: dict[str, tuple[StorageStrategy, ...]] = {}
         self.runtime: LineageRuntime | None = None

@@ -75,7 +75,12 @@ class LineageContext:
     # -- the lwrite API (Table I) ---------------------------------------------
 
     def lwrite(self, outcells, *incells) -> None:
-        """Record one region pair: ``outcells`` depend on every ``incells[i]``."""
+        """Record one region pair: ``outcells`` depend on every ``incells[i]``.
+
+        The pair is validated, then staged into the sink's columnar region
+        batch — the same record ``lwrite_batch`` produces — so a per-pair
+        loop costs its Python iterations but takes no separate store path.
+        """
         if not incells:
             raise LineageError("lwrite needs input cells (or use lwrite_payload)")
         pair = RegionPair(
@@ -85,7 +90,8 @@ class LineageContext:
         self.sink.add_pair(pair)
 
     def lwrite_payload(self, outcells, payload: bytes) -> None:
-        """Record one payload pair (``lwrite(outcells, payload)`` in Table I)."""
+        """Record one payload pair (``lwrite(outcells, payload)`` in Table I);
+        staged like :meth:`lwrite`, sealed as ``lwrite_payload_regions`` is."""
         if type(payload) is not bytes:  # zero-copy when already immutable
             payload = bytes(payload)
         self.sink.add_pair(
@@ -112,8 +118,9 @@ class LineageContext:
 
         Pair ``i`` spans ``out_coords[out_offsets[i]:out_offsets[i+1]]`` and,
         per input ``k``, ``in_coords[k][in_offsets[k][i]:in_offsets[k][i+1]]``.
-        This is the zero-object capture path: built-in operators emit their
-        whole lineage as one descriptor and the stores lower it lazily.
+        This is the general record form every store lowers: built-in
+        operators emit their whole lineage as one descriptor, and per-pair
+        :meth:`lwrite` calls are coalesced into it.
         """
         self.sink.add_region_batch(
             RegionBatch(

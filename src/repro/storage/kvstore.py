@@ -18,16 +18,14 @@ reproduce that contract with two building blocks:
     entry that every ``FullOne`` key references).
 
 Both report their serialized footprint (:meth:`disk_bytes`) and can be
-flushed to real files so benchmarks charge honest storage costs.  Values
-are opaque byte strings here — codec-tagged cell sets (see
-:mod:`repro.storage.codecs`) and legacy delta-only values flush and load
-identically, so store files written before the codec subsystem existed
-keep loading.
+flushed to real files (segment containers, :mod:`repro.storage.segment`)
+so benchmarks charge honest storage costs.  Values are opaque byte strings
+here — codec-tagged cell sets (see :mod:`repro.storage.codecs`) and legacy
+delta-only values flush and load identically.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +35,6 @@ from repro.arrays.coords import expand_ranges
 from repro.errors import StorageError
 from repro.storage import codecs
 from repro.storage import segment as seglib
-from repro.storage import serialize as ser
 
 __all__ = ["HashStore", "BlobStore"]
 
@@ -94,18 +91,6 @@ class HashStore:
             return
         offsets = np.arange(keys.size + 1, dtype=np.int64) * 8
         self.put_many(keys, values.astype("<i8").tobytes(), offsets)
-
-    def put_many_shared(self, keys: np.ndarray, value: bytes) -> None:
-        """Append entries that each carry a *copy* of the same value.
-
-        ``PayOne`` duplicates the payload in every hash value (§VI-B); the
-        duplication is physical here so storage accounting stays honest.
-        """
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return
-        offsets = np.arange(keys.size + 1, dtype=np.int64) * len(value)
-        self.put_many(keys, value * keys.size, offsets)
 
     def put_one(self, key: int, value: bytes) -> None:
         self.put_many(
@@ -306,24 +291,7 @@ class HashStore:
 
     @classmethod
     def load(cls, path: str, name: str = "hashstore") -> "HashStore":
-        if seglib.is_segment_file(path):
-            return cls.from_segment(seglib.Segment.open(path), "", name)
-        # legacy pre-segment layout: bare <q count + columns
-        store = cls(name)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise StorageError(f"cannot load store file {path!r}: {exc}") from exc
-        (n,) = struct.unpack_from("<q", raw, 0)
-        if n:
-            keys = np.frombuffer(raw, dtype="<i8", count=n, offset=8).astype(np.int64)
-            offsets = np.frombuffer(
-                raw, dtype="<i8", count=n + 1, offset=8 + 8 * n
-            ).astype(np.int64)
-            buf = raw[8 + 8 * n + 8 * (n + 1):]
-            store._segment = _Chunk(keys, offsets, buf)
-        return store
+        return cls.from_segment(seglib.Segment.open(path), "", name)
 
     def clear(self) -> None:
         with self._flock:
@@ -338,8 +306,8 @@ class BlobStore:
     The finalized state is one concatenated heap plus start/end offsets —
     the same shape :class:`~repro.storage.codecs.BatchProbe` consumes and
     the segment format persists, so a segment-backed load is a zero-copy
-    rehydration (the heap stays an mmap view).  Appends land in a pending
-    list and are joined into the heap lazily.
+    rehydration (the heap stays an mmap view).  Every write is a heap
+    extension (:meth:`append_buffer`); there is no pending state.
     """
 
     def __init__(self, name: str = "blobs"):
@@ -347,54 +315,24 @@ class BlobStore:
         self._buf = b""  # any bytes-like; loaded segments pass an mmap view
         self._starts = np.empty(0, dtype=np.int64)
         self._ends = np.empty(0, dtype=np.int64)
-        self._pending: list[bytes] = []
         self._probes: dict = {}
         #: ``(segment, prefix, fields)`` when persisted lowered tables are
         #: available but not yet hydrated (lazy per-shard load)
         self._probe_source: tuple | None = None
-        # serializes heap finalization and probe construction so concurrent
+        # serializes heap extension and probe construction so concurrent
         # reader threads cannot race a cache fill (serving contract)
         self._flock = lockcheck.make_rlock("blobstore.finalize")
 
-    def _finalize(self) -> None:
-        if not self._pending:  # racy fast path; re-checked under the lock
-            return
-        with self._flock:
-            if not self._pending:
-                return
-            lengths = np.asarray([len(b) for b in self._pending], dtype=np.int64)
-            base = len(self._buf)
-            new_ends = base + np.cumsum(lengths)
-            self._buf = bytes(self._buf) + b"".join(self._pending)
-            self._starts = np.concatenate([self._starts, new_ends - lengths])
-            self._ends = np.concatenate([self._ends, new_ends])
-            self._pending = []
-
     def append(self, data: bytes) -> int:
-        if type(data) is not bytes:  # zero-copy when already immutable
-            data = bytes(data)
-        # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
-        self._pending.append(data)
-        self._probes = {}
-        self._probe_source = None
-        return self._ends.size + len(self._pending) - 1
-
-    def append_many(self, blobs: list[bytes]) -> np.ndarray:
-        start = len(self)
-        for blob in blobs:
-            # szlint: ignore[SZ006] -- ingest is single-writer by contract; _flock only guards the finalize merge
-            self._pending.append(bytes(blob))
-        self._probes = {}
-        self._probe_source = None
-        return np.arange(start, len(self), dtype=np.int64)
+        """Append one blob — :meth:`append_buffer` with ``n = 1``."""
+        return int(self.append_buffer(data, [len(data)])[0])
 
     def append_buffer(self, buf, lengths: np.ndarray) -> np.ndarray:
         """Append many blobs at once from one concatenated buffer.
 
         Blob ``i`` spans ``lengths[i]`` bytes starting where blob ``i - 1``
-        ended; returns the assigned ids.  The bulk counterpart of
-        :meth:`append_many` for the deferred-capture write path — one heap
-        extension, no per-blob Python objects.
+        ended; returns the assigned ids.  One heap extension, no per-blob
+        Python objects — the only writer the capture path uses.
         """
         lengths = np.ascontiguousarray(lengths, dtype=np.int64)
         if (lengths < 0).any():
@@ -404,7 +342,6 @@ class BlobStore:
         if lengths.size == 0:
             return np.empty(0, dtype=np.int64)
         with self._flock:
-            self._finalize()
             base = self._ends.size
             if not isinstance(self._buf, bytearray):
                 self._buf = bytearray(self._buf)
@@ -428,9 +365,7 @@ class BlobStore:
         The heap is kept as a ``bytearray`` while extending (one upgrade
         copy, then amortised appends), so absorbing g generations costs
         O(total bytes), not O(g * total)."""
-        other._finalize()
         with self._flock:
-            self._finalize()
             base = self._ends.size
             if other._ends.size:
                 if not isinstance(self._buf, bytearray):
@@ -473,7 +408,6 @@ class BlobStore:
                         )
                         self._probes[field] = probe
                 if probe is None:
-                    self._finalize()
                     buf, starts, ends = self._buf, self._starts, self._ends
                     if field:
                         if ticker is not None:
@@ -500,28 +434,20 @@ class BlobStore:
         i = int(blob_id)
         if 0 <= i < self._ends.size:
             return bytes(self._buf[int(self._starts[i]): int(self._ends[i])])
-        j = i - self._ends.size
-        if 0 <= j < len(self._pending):
-            return self._pending[j]
         raise StorageError(f"unknown blob id {blob_id}")
 
-    def get_many(self, blob_ids: np.ndarray) -> list[bytes]:
-        return [self.get(b) for b in np.asarray(blob_ids, dtype=np.int64)]
-
     def __len__(self) -> int:
-        return self._ends.size + len(self._pending)
+        return self._ends.size
 
     def disk_bytes(self) -> int:
         """Payload plus one offset word per blob."""
-        payload = len(self._buf) + sum(len(b) for b in self._pending)
-        return payload + 8 * len(self)
+        return len(self._buf) + 8 * len(self)
 
     # -- persistence ---------------------------------------------------------
 
     def dump(self, writer: seglib.SegmentWriter, prefix: str = "") -> None:
         """Write the heap — and any warm lowered probe tables — into a
         segment file, so a reload probes without re-walking codec headers."""
-        self._finalize()
         fields = sorted(self.probe_fields())
         writer.add_json(
             prefix + "meta", {"n": int(self._ends.size), "probe_fields": fields}
@@ -563,28 +489,13 @@ class BlobStore:
 
     @classmethod
     def load(cls, path: str, name: str = "blobs") -> "BlobStore":
-        if seglib.is_segment_file(path):
-            return cls.from_segment(seglib.Segment.open(path), "", name)
-        # legacy pre-segment layout: <q count + length-prefixed blobs
-        store = cls(name)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise StorageError(f"cannot load store file {path!r}: {exc}") from exc
-        (count,) = struct.unpack_from("<q", raw, 0)
-        offset = 8
-        for _ in range(count):
-            blob, offset = ser.decode_bytes(raw, offset)
-            store.append(blob)
-        return store
+        return cls.from_segment(seglib.Segment.open(path), "", name)
 
     def clear(self) -> None:
         with self._flock:
             self._buf = b""
             self._starts = np.empty(0, dtype=np.int64)
             self._ends = np.empty(0, dtype=np.int64)
-            self._pending = []
             self._probes = {}
             self._probe_source = None
 

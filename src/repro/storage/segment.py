@@ -496,11 +496,14 @@ class Segment:
             raise StorageError(f"cannot open segment {path!r}: {exc}") from exc
         with fh:
             head = fh.read(_HEADER.size)
+            if head[: len(MAGIC)] != MAGIC:
+                raise StorageError(
+                    f"segment {path!r}: bad magic {head[: len(MAGIC)]!r} — not a "
+                    "segment file (pre-segment layout, re-flush required)"
+                )
             if len(head) < _HEADER.size:
                 raise StorageError(f"segment {path!r}: truncated header")
-            magic, version, mlen = _HEADER.unpack(head)
-            if magic != MAGIC:
-                raise StorageError(f"segment {path!r}: bad magic {magic!r}")
+            _, version, mlen = _HEADER.unpack(head)
             if version > VERSION:
                 raise StorageError(
                     f"segment {path!r}: format version {version} is newer than "

@@ -20,9 +20,7 @@ back to the raw codec instead of failing.
 File-level persistence does not use this module's framing: whole stores
 flush into the checksummed, mmap-able segment container of
 :mod:`repro.storage.segment` (codec-tagged values ride inside its byte
-sections verbatim — see ``docs/storage_format.md``).  The length-prefixed
-helpers here remain for in-value framing and the legacy pre-segment
-loaders.
+sections verbatim — see ``docs/storage_format.md``).
 
 Everything is vectorised with numpy; nothing here loops over cells.
 """
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import StorageError
 from repro.storage.codecs import (
     cells_nbytes,
     decode_cells,
@@ -43,25 +40,10 @@ from repro.storage.codecs import (
 __all__ = [
     "encode_uvarint",
     "decode_uvarint",
-    "encode_bytes",
-    "decode_bytes",
     "encode_int_array",
     "decode_int_array",
     "int_array_nbytes",
 ]
-
-
-def encode_bytes(data: bytes) -> bytes:
-    """Length-prefixed byte string."""
-    return encode_uvarint(len(data)) + data
-
-
-def decode_bytes(buf: bytes, offset: int = 0) -> tuple[bytes, int]:
-    length, pos = decode_uvarint(buf, offset)
-    end = pos + length
-    if end > len(buf):
-        raise StorageError("truncated byte string")
-    return bytes(buf[pos:end]), end
 
 
 def encode_int_array(arr: np.ndarray) -> bytes:

@@ -13,6 +13,7 @@ from typing import Mapping
 
 from repro.arrays.array import SciArray
 from repro.arrays.versions import VersionStore
+from repro.core.model import BufferSink
 from repro.core.runtime import LineageRuntime
 from repro.errors import WorkflowError
 from repro.ops.base import LineageContext
@@ -63,7 +64,7 @@ def execute_workflow(
         runtime.prepare_node(node_name, op)
 
         cur_modes = runtime.cur_modes(node_name, op)
-        sink = runtime.make_sink()
+        sink = BufferSink()
         ctx = LineageContext(cur_modes=cur_modes, sink=sink, node=node_name)
 
         start = time.perf_counter()

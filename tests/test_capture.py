@@ -14,6 +14,9 @@ Three properties of the interactive-speed capture path:
   per-pair Python loop; everything arrives at the sink as whole-array
   batch calls (``lwrite_batch`` / ``lwrite_elementwise`` /
   ``lwrite_payload_regions`` / ``lwrite_payload_batch``).
+* **one record form** — the per-pair ``lwrite`` / ``lwrite_payload``
+  calls a UDF author writes first are staged into the same columnar
+  region batches, so how pairs were emitted never shows in a store.
 """
 
 import os
@@ -29,16 +32,21 @@ from repro import (
     FULL_ONE_B,
     FULL_ONE_F,
     MAP,
+    PAY_MANY_B,
     PAY_ONE_B,
     SciArray,
     SubZero,
 )
 from repro.arrays import coords as C
 from repro.core import lineage_store
-from repro.core.capture import CapturePipeline, DeferredSink
+from repro.core.capture import CapturePipeline
+from repro.core.lineage_store import make_store
 from repro.core.model import BufferSink
+from repro.core.modes import LineageMode, Orientation
 from repro.core.runtime import LineageRuntime
+from repro.core.stats import StatsCollector
 from repro.errors import StorageError
+from repro.ops.base import LineageContext
 from repro.storage import segment as segment_mod
 from repro.workflow.executor import execute_workflow
 from tests.conftest import build_spot_spec
@@ -91,16 +99,6 @@ class TestDeferredEagerEquivalence:
             answers[capture] = (back, fwd)
             sz.close()
         assert answers["deferred"] == answers["eager"]
-
-    def test_deferred_runs_use_deferred_sinks(self, rng):
-        """The executor hands out DeferredSink (descriptor parking) in the
-        default capture mode and plain BufferSink in eager mode."""
-        runtime = LineageRuntime(deferred=True)
-        assert isinstance(runtime.make_sink(), DeferredSink)
-        eager = LineageRuntime(deferred=False)
-        sink = eager.make_sink()
-        assert isinstance(sink, BufferSink)
-        assert not isinstance(sink, DeferredSink)
 
     def test_capture_counters_populate(self, rng):
         image = SciArray.from_numpy(rng.random(SHAPE))
@@ -280,3 +278,149 @@ class TestBatchOnlyCapture:
         assert pair_counter["add_pair"] == 0
         assert pair_counter["batch"] > 0
         sz.close()
+
+
+# -- one record form -----------------------------------------------------------
+
+ALL_LAYOUTS = ALL_FULL + [PAY_ONE_B, PAY_MANY_B]
+SIZE = SHAPE[0] * SHAPE[1]
+
+
+def _random_lineage(rng):
+    """``(full, payload, elementwise)``: full pairs as (out, in) coordinate
+    arrays, payload pairs as (out, blob), one aligned elementwise batch."""
+
+    def region(max_cells):
+        n = int(rng.integers(1, max_cells + 1))
+        return C.unpack_coords(rng.choice(SIZE, size=n, replace=False), SHAPE)
+
+    full = [(region(4), region(5)) for _ in range(rng.integers(0, 7))]
+    payload = [
+        (region(3), rng.bytes(int(rng.integers(1, 4))))
+        for _ in range(rng.integers(0, 5))
+    ]
+    n_elem = int(rng.integers(0, 7))
+    elementwise = (
+        C.unpack_coords(rng.integers(0, SIZE, size=n_elem), SHAPE),
+        C.unpack_coords(rng.integers(0, SIZE, size=n_elem), SHAPE),
+    )
+    return full, payload, elementwise
+
+
+def _offsets(parts):
+    return np.concatenate([[0], np.cumsum([len(p) for p in parts])]).astype(np.int64)
+
+
+def _emit_batched(ctx, full, payload):
+    if full:
+        outs, ins = zip(*full)
+        ctx.lwrite_batch(
+            np.concatenate(outs), _offsets(outs), [np.concatenate(ins)], [_offsets(ins)]
+        )
+    if payload:
+        outs, blobs = zip(*payload)
+        ctx.lwrite_payload_regions(
+            np.concatenate(outs), _offsets(outs), b"".join(blobs), _offsets(blobs)
+        )
+
+
+def _emit(how, full, payload, elementwise):
+    """The same lineage through three different call sequences."""
+    ctx = LineageContext(
+        cur_modes=frozenset({LineageMode.FULL, LineageMode.PAY}), sink=BufferSink()
+    )
+    e_out, e_in = elementwise
+    if how == "per_pair":
+        for out, inn in full:
+            ctx.lwrite(out, inn)
+        for out, blob in payload:
+            ctx.lwrite_payload(out, blob)
+        ctx.lwrite_elementwise(e_out, e_in)
+    elif how == "batched":
+        _emit_batched(ctx, full, payload)
+        ctx.lwrite_elementwise(e_out, e_in)
+    else:  # interleaved: every call kind, alternating, in one sink
+        half = len(e_out) // 2
+        ctx.lwrite_elementwise(e_out[:half], e_in[:half])
+        _emit_batched(ctx, full[::2], payload[::2])
+        rest_full, rest_payload = full[1::2], payload[1::2]
+        for i in range(max(len(rest_full), len(rest_payload))):
+            if i < len(rest_payload):
+                ctx.lwrite_payload(*rest_payload[i])
+            if i < len(rest_full):
+                ctx.lwrite(*rest_full[i])
+            if i == 0:
+                ctx.lwrite_elementwise(e_out[half:], e_in[half:])
+        if not rest_full and not rest_payload:
+            ctx.lwrite_elementwise(e_out[half:], e_in[half:])
+    return ctx.sink
+
+
+def _store_answers(store, q_out, q_in):
+    """Matched AND mismatched reads, order-normalised."""
+    strategy = store.strategy
+    if strategy.mode is LineageMode.PAY:
+        matched, pairs = store.backward_payload(q_out)
+        keys, koff, vbuf, voff = store.payload_entries()
+        entries = sorted(
+            (tuple(keys[koff[e]: koff[e + 1]].tolist()), bytes(vbuf[voff[e]: voff[e + 1]]))
+            for e in range(koff.size - 1)
+        )
+        return (
+            matched.tolist(),
+            sorted((tuple(sorted(c.tolist())), p) for c, p in pairs),
+            entries,
+        )
+    if strategy.orientation is Orientation.BACKWARD:
+        backward, forward = store.backward_full, store.scan_forward_full
+    else:
+        backward, forward = store.scan_backward_full, store.forward_full
+    matched, per_input = backward(q_out)
+    return (
+        matched.tolist(),
+        [sorted(set(cells.tolist())) for cells in per_input],
+        sorted(set(forward(q_in, 0).tolist())),
+    )
+
+
+class TestEmissionFormEquivalence:
+    @pytest.mark.parametrize("strategy", ALL_LAYOUTS, ids=lambda s: s.label)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_stores_cannot_tell_how_pairs_were_emitted(self, strategy, seed):
+        rng = np.random.default_rng(seed)
+        full, payload, elementwise = _random_lineage(rng)
+        q_out = rng.choice(SIZE, size=12, replace=False)
+        q_in = rng.choice(SIZE, size=12, replace=False)
+        seen = {}
+        for how in ("per_pair", "batched", "interleaved"):
+            store = make_store("n", strategy, SHAPE, (SHAPE,))
+            store.ingest(_emit(how, full, payload, elementwise))
+            seen[how] = (
+                _store_answers(store, q_out, q_in),
+                store.n_entries,
+                store.disk_bytes(),
+            )
+        assert seen["per_pair"] == seen["batched"] == seen["interleaved"]
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_counts_are_rows_however_emitted(self, seed):
+        """``n_pairs`` and every ``record_sink`` count see per-pair calls
+        and the batch that replaces them as the same rows."""
+        full, payload, elementwise = _random_lineage(np.random.default_rng(seed))
+        counted = []
+        for how in ("per_pair", "batched", "interleaved"):
+            sink = _emit(how, full, payload, elementwise)
+            stats = StatsCollector()
+            stats.record_sink("n", sink)
+            s = stats.get("n")
+            counted.append(
+                (
+                    sink.n_pairs, s.n_pairs, s.n_outcells, s.n_incells,
+                    s.n_payload_pairs, s.n_payload_outcells, s.payload_bytes,
+                )
+            )
+        assert counted[0] == counted[1] == counted[2]
+        n_rows = len(full) + len(payload) + len(elementwise[0])
+        assert counted[0][:2] == (n_rows, n_rows)

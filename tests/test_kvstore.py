@@ -21,14 +21,6 @@ class TestHashStoreBasics:
         assert sorted(by_query[1]) == [100, 300]  # multimap: both kept
         assert 2 not in by_query
 
-    def test_shared_value_duplicated(self):
-        store = HashStore()
-        store.put_many_shared(np.asarray([1, 2, 3]), b"abc")
-        _, values = store.lookup_many(np.asarray([2]))
-        assert values == [b"abc"]
-        # duplication is physical: 3 keys * (8 + 3) bytes
-        assert store.disk_bytes() == 3 * 8 + 9
-
     def test_put_one_and_variable_values(self):
         store = HashStore()
         store.put_one(7, b"xyz")
@@ -149,12 +141,6 @@ class TestBlobStore:
         assert blobs.get(a) == b"hello"
         assert blobs.get(b) == b"world!"
         assert len(blobs) == 2
-
-    def test_append_many(self):
-        blobs = BlobStore()
-        ids = blobs.append_many([b"a", b"bb", b"ccc"])
-        assert ids.tolist() == [0, 1, 2]
-        assert blobs.get_many(ids) == [b"a", b"bb", b"ccc"]
 
     def test_unknown_id(self):
         blobs = BlobStore()

@@ -13,6 +13,7 @@ from repro.core.model import (
     LineageQuery,
     PayloadBatch,
     QueryStep,
+    RegionBatch,
     RegionPair,
 )
 from repro.core.modes import (
@@ -77,7 +78,56 @@ class TestBatches:
             PayloadBatch(outcells=cells((0, 0)), payloads=[b"a", b"b"])
 
 
+    def test_region_batch_rejects_non_monotone_in_offsets(self):
+        """First/last element checks alone let ``[0, 5, 3, 8]`` through, to
+        die later as a raw NumPy error on the encode thread."""
+        with pytest.raises(LineageError, match="non-decreasing"):
+            RegionBatch(
+                out_coords=np.zeros((3, 2), dtype=np.int64),
+                out_offsets=np.asarray([0, 1, 2, 3]),
+                in_coords=(np.zeros((8, 2), dtype=np.int64),),
+                in_offsets=(np.asarray([0, 5, 3, 8]),),
+            )
+
+    def test_region_batch_rejects_non_monotone_payload_offsets(self):
+        with pytest.raises(LineageError, match="non-decreasing"):
+            RegionBatch(
+                out_coords=np.zeros((3, 2), dtype=np.int64),
+                out_offsets=np.asarray([0, 1, 2, 3]),
+                payloads=b"x" * 8,
+                payload_offsets=np.asarray([0, 5, 3, 8]),
+            )
+
+
 class TestBufferSink:
+    def test_per_pair_rows_are_staged_then_sealed_into_batches(self):
+        """Full and payload pairs mixed in one sink seal into one region
+        batch each; counts are rows, before and after the seal."""
+        sink = BufferSink()
+        sink.add_pair(RegionPair(outcells=cells((0, 0), (0, 1)), incells=(cells((1, 1)),)))
+        sink.add_pair(RegionPair(outcells=cells((2, 2)), payload=b"pp"))
+        sink.add_pair(RegionPair(outcells=cells((3, 3)), incells=(cells((4, 4), (4, 5)),)))
+        assert sink.n_pairs == 3
+        full, pay = sink.region_batches
+        assert (full.count, pay.count) == (2, 1)
+        assert full.out_offsets.tolist() == [0, 2, 3]
+        assert full.in_offsets[0].tolist() == [0, 1, 3]
+        assert (pay.payloads, pay.payload_offsets.tolist()) == (b"pp", [0, 2])
+        again = sink.region_batches  # sealing is idempotent
+        assert len(again) == 2 and again[0] is full and again[1] is pay
+        assert sink.n_pairs == 3
+
+    def test_pairs_disagreeing_on_arity_or_rank_are_rejected(self):
+        sink = BufferSink()
+        sink.add_pair(RegionPair(outcells=cells((0, 0)), incells=(cells((1, 1)),)))
+        with pytest.raises(LineageError, match="inputs"):
+            sink.add_pair(
+                RegionPair(outcells=cells((0, 0)), incells=(cells((1, 1)), cells((1, 1))))
+            )
+        sink.add_pair(RegionPair(outcells=cells((0, 0, 0)), incells=(cells((1, 1)),)))
+        with pytest.raises(LineageError, match="dimensionality"):
+            sink.region_batches
+
     def test_counts(self):
         sink = BufferSink()
         sink.add_pair(RegionPair(outcells=cells((0, 0)), incells=(cells((1, 1)),)))

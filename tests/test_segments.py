@@ -437,56 +437,38 @@ class TestSegmentIdentityCheck:
             wrong_strategy.load_segment(path)
 
 
-class TestLegacyManifestFallback:
-    def test_pre_segment_flush_directory_still_loads(self, tmp_path):
-        """A directory flushed before the segmented format — manifest.json
-        plus per-component bare .bin files — still serves eagerly."""
-        import json
+class TestPreSegmentLayoutRefused:
+    def test_pre_segment_flush_directory_is_refused(self, tmp_path):
+        """A directory flushed before the segmented format — manifest.json,
+        no catalog.json — is refused with a typed error naming the cure,
+        never attached as a silently empty catalog."""
+        (tmp_path / "manifest.json").write_text("[]")
+        runtime = LineageRuntime()
+        with pytest.raises(
+            StorageError, match="pre-segment layout, re-flush required"
+        ):
+            runtime.load_all(str(tmp_path))
+        assert runtime.catalog is None
+
+    def test_bare_component_file_is_refused(self, tmp_path):
+        """A pre-segment ``<q count + columns>`` component file is not
+        parsed by any loader any more."""
         import struct
 
-        from repro.storage import serialize as ser
+        from repro.storage.kvstore import BlobStore, HashStore
 
-        sink = BufferSink()
-        sink.add_elementwise(
-            ElementwiseBatch(
-                outcells=np.asarray([(1, 1), (2, 3)], dtype=np.int64),
-                incells=(np.asarray([(4, 4), (5, 5)], dtype=np.int64),),
-            )
-        )
-        live = make_store("n", FULL_ONE_B, SHAPE, (SHAPE,))
-        live.ingest(sink)
-        q = C.pack_coords(np.asarray([(1, 1), (2, 3)], dtype=np.int64), SHAPE)
-        want = _answers(live, FULL_ONE_B, np.sort(q))
-
-        # write the OLD layout by hand: bare-format component files
-        sub = tmp_path / "n__Full__One__backward"
-        sub.mkdir()
-        for name, comp in live._components().items():
-            with open(sub / f"{name}.bin", "wb") as fh:
-                if hasattr(comp, "columns"):  # HashStore
-                    keys, offsets, buf = comp.columns()
-                    fh.write(struct.pack("<q", keys.size))
-                    if keys.size:
-                        fh.write(keys.astype("<i8").tobytes())
-                        fh.write(offsets.astype("<i8").tobytes())
-                        fh.write(bytes(buf))
-                else:  # BlobStore
-                    fh.write(struct.pack("<q", len(comp)))
-                    for i in range(len(comp)):
-                        fh.write(ser.encode_bytes(comp.get(i)))
-        manifest = [
-            {
-                "node": "n", "mode": "Full", "encoding": "One",
-                "orientation": "backward", "out_shape": list(SHAPE),
-                "in_shapes": [list(SHAPE)], "dir": "n__Full__One__backward",
-            }
-        ]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-
-        runtime = LineageRuntime()
-        assert runtime.load_all(str(tmp_path)) == 1
-        loaded = runtime.store_for("n", FULL_ONE_B)
-        assert _answers(loaded, FULL_ONE_B, np.sort(q)) == want
+        path = str(tmp_path / "refs.bin")
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<q", 0))
+        for load in (
+            HashStore.load,
+            BlobStore.load,
+            lambda p: RegionEntryTable.load(p, SHAPE),
+        ):
+            with pytest.raises(
+                StorageError, match="pre-segment layout, re-flush required"
+            ):
+                load(path)
 
 
 # -- batch convergence riders -------------------------------------------------

@@ -32,21 +32,6 @@ class TestUvarint:
             assert len(ser.encode_uvarint(v)) == 1
 
 
-class TestBytes:
-    @given(st.binary(max_size=200))
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip(self, data):
-        buf = ser.encode_bytes(data)
-        out, pos = ser.decode_bytes(buf)
-        assert out == data
-        assert pos == len(buf)
-
-    def test_truncated(self):
-        buf = ser.encode_bytes(b"hello")[:-1]
-        with pytest.raises(StorageError):
-            ser.decode_bytes(buf)
-
-
 class TestIntArray:
     @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=300))
     @settings(max_examples=150, deadline=None)
