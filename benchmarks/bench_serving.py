@@ -1,4 +1,4 @@
-"""Serving-core benchmark: thread scaling, eviction pressure, shard opens.
+"""Serving-core benchmark: thread scaling, eviction pressure, cold opens.
 
 Not a paper figure — this validates the concurrent-serving refactor against
 its acceptance bars:
@@ -11,10 +11,8 @@ its acceptance bars:
   is enforced only on machines with enough cores to express it (the
   container this repo is often built in has one), mirroring the other
   wall-clock benches.
-* **shard vs monolith cold open**: a fresh process's cost to open one
-  store and answer its first matched and first mismatched query, from a
-  monolithic segment vs a sharded ``.seg.0..k`` flush — plus how many
-  shard files the sharded path actually mapped.
+* **cold open**: a fresh process's cost to open the largest store's
+  segment and answer its first matched and first mismatched query.
 * **daemon QPS / latency percentiles** (``BENCH_daemon.json``): N client
   threads drive the network daemon over HTTP, measuring queries/s and
   p50/p99 latency with every answer checked against the in-process
@@ -46,7 +44,6 @@ from repro import (
 from repro.arrays.versions import VersionStore
 from repro.bench.report import ResultTable, write_bench_json
 from repro.core.catalog import StoreCatalog
-from repro.core.lineage_store import make_store
 from repro.core.model import Direction, LineageQuery, QueryStep
 from repro.errors import QueueFullError
 from repro.serving import DaemonClient, QueryDaemon, ServingLimits, canonical_result
@@ -65,7 +62,6 @@ SHAPE = (192, 224) if FULL else (96, 112)
 N_QUERIES = 144 if FULL else 72
 CELLS_PER_QUERY = 48
 THREADS = (1, 2, 4, 8)
-SHARD_THRESHOLD = 4096
 N_CLIENTS = 8
 OVERLOAD_CLIENTS = 32
 
@@ -209,18 +205,12 @@ def test_thread_scaling_hot_vs_evicting(benchmark, serving_workload):
 
 
 @pytest.mark.benchmark(group="serving")
-def test_shard_vs_monolith_cold_open(benchmark, serving_workload, tmp_path_factory):
-    """A fresh process's first query against one store: the sharded layout
-    maps only the shards that query touches, the monolith maps everything
-    at once — with identical answers either way."""
-    mono_dir = serving_workload["dir"]
-    shard_dir = str(tmp_path_factory.mktemp("sharded"))
-    with _engine(serving_workload) as sz:
-        sz.runtime.flush_all(shard_dir, shard_threshold_bytes=SHARD_THRESHOLD)
-
-    catalog = StoreCatalog.open(shard_dir)
-    entry = next((e for e in catalog.entries() if e.shards), None)
-    assert entry is not None, "no store crossed the shard threshold"
+def test_monolith_cold_open(benchmark, serving_workload):
+    """A fresh process's first queries against the largest store: open
+    (header + section table only), first matched probe, first mismatched
+    scan — the cold-open baseline a section-lazy open has to beat."""
+    directory = serving_workload["dir"]
+    entry = max(StoreCatalog.open(directory).entries(), key=lambda e: e.nbytes)
     rng = np.random.default_rng(23)
     matched_q = np.unique(
         rng.integers(0, int(np.prod(entry.out_shape)), size=CELLS_PER_QUERY)
@@ -228,61 +218,32 @@ def test_shard_vs_monolith_cold_open(benchmark, serving_workload, tmp_path_facto
     scan_q = np.unique(
         rng.integers(0, int(np.prod(entry.in_shapes[0])), size=CELLS_PER_QUERY)
     )
-
-    def cold_first_queries(directory):
-        best = {"open": np.inf, "matched": np.inf, "scan": np.inf}
-        answers = at_open = after_scan = None
-        for _ in range(3):
-            cat = StoreCatalog.open(directory)
-            start = time.perf_counter()
-            store = cat.open_store(entry.node, entry.strategy)
-            best["open"] = min(best["open"], time.perf_counter() - start)
-            seg = store._segment
-            sharded = hasattr(seg, "open_shard_count")
-            at_open = (
-                f"{seg.open_shard_count()}/{len(seg.shard_files)}" if sharded else "1/1"
-            )
-            start = time.perf_counter()
-            matched, per_input = store.backward_full(matched_q, only_input=0)
-            best["matched"] = min(best["matched"], time.perf_counter() - start)
-            start = time.perf_counter()
-            scan = store.scan_forward_full(scan_q, 0)
-            best["scan"] = min(best["scan"], time.perf_counter() - start)
-            answers = (
-                matched.tolist(),
-                sorted(per_input[0].tolist()),
-                sorted(scan.tolist()),
-            )
-            after_scan = (
-                f"{seg.open_shard_count()}/{len(seg.shard_files)}" if sharded else "1/1"
-            )
-            cat.close()
-        return best, answers, at_open, after_scan
-
-    mono, mono_answers, mono_open, mono_after = cold_first_queries(mono_dir)
-    shard, shard_answers, shard_open, shard_after = cold_first_queries(shard_dir)
-    assert mono_answers == shard_answers  # shard round-trip preserves answers
+    best = {"open": np.inf, "matched": np.inf, "scan": np.inf}
+    for _ in range(3):
+        cat = StoreCatalog.open(directory)
+        start = time.perf_counter()
+        store = cat.open_store(entry.node, entry.strategy)
+        best["open"] = min(best["open"], time.perf_counter() - start)
+        start = time.perf_counter()
+        store.backward_full(matched_q, only_input=0)
+        best["matched"] = min(best["matched"], time.perf_counter() - start)
+        start = time.perf_counter()
+        store.scan_forward_full(scan_q, 0)
+        best["scan"] = min(best["scan"], time.perf_counter() - start)
+        cat.close()
 
     def run():
         out = ResultTable(
             title=(
                 f"cold open + first queries, store {entry.node!r} "
-                f"({entry.nbytes} bytes, threshold {SHARD_THRESHOLD})"
+                f"({entry.nbytes} bytes, best of 3)"
             ),
-            columns=[
-                "layout", "mapped at open", "after scan", "open ms",
-                "first matched ms", "first scan ms",
-            ],
+            columns=["open ms", "first matched ms", "first scan ms"],
         )
         out.add_row(
-            "monolithic segment", mono_open, mono_after,
-            round(mono["open"] * 1e3, 3),
-            round(mono["matched"] * 1e3, 3), round(mono["scan"] * 1e3, 3),
-        )
-        out.add_row(
-            f"sharded ({len(entry.shards)} shards)", shard_open, shard_after,
-            round(shard["open"] * 1e3, 3), round(shard["matched"] * 1e3, 3),
-            round(shard["scan"] * 1e3, 3),
+            round(best["open"] * 1e3, 3),
+            round(best["matched"] * 1e3, 3),
+            round(best["scan"] * 1e3, 3),
         )
         out.print()
 
@@ -475,45 +436,3 @@ def test_daemon_qps_latency_and_backpressure(benchmark, serving_workload):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-
-@pytest.mark.benchmark(group="serving")
-def test_shard_equivalence_spot_check(benchmark):
-    """Belt-and-braces: one synthetic store, monolith vs 1-section-per-shard
-    flush, identical matched + mismatched answers (the exhaustive version is
-    the Hypothesis property in tests/test_serving.py)."""
-    from repro.core.model import BufferSink, ElementwiseBatch
-
-    shape = (64, 64)
-    rng = np.random.default_rng(3)
-    store = make_store("n", FULL_MANY_B, shape, (shape,))
-    sink = BufferSink()
-    cells = rng.integers(0, 64, size=(4096, 2))
-    sink.add_elementwise(ElementwiseBatch(outcells=cells, incells=(cells[::-1].copy(),)))
-    store.ingest(sink)
-
-    def run():
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as base:
-            mono_path = os.path.join(base, "m.seg")
-            shard_path = os.path.join(base, "s.seg")
-            store.flush_segment(mono_path)
-            store.flush_segment(shard_path, shard_threshold_bytes=1)
-            q = np.sort(rng.integers(0, 64 * 64, size=128).astype(np.int64))
-            mono = make_store("n", FULL_MANY_B, shape, (shape,))
-            mono.load_segment(mono_path)
-            sharded = make_store("n", FULL_MANY_B, shape, (shape,))
-            sharded.load_segment(shard_path)
-            m_matched, m_per = mono.backward_full(q)
-            s_matched, s_per = sharded.backward_full(q)
-            assert m_matched.tolist() == s_matched.tolist()
-            assert [sorted(p.tolist()) for p in m_per] == [
-                sorted(p.tolist()) for p in s_per
-            ]
-            assert sorted(mono.scan_forward_full(q, 0).tolist()) == sorted(
-                sharded.scan_forward_full(q, 0).tolist()
-            )
-            mono.close()
-            sharded.close()
-
-    benchmark.pedantic(run, rounds=1, iterations=1)

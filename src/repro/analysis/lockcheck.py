@@ -21,8 +21,9 @@ wrapper that feeds a global :class:`LockCheckRegistry`:
   segment write, file unlink) call :func:`note_io`; when the calling thread
   holds any instrumented lock, the event is recorded with the held lock
   names.  These are *observations*, not failures — some sites are
-  deliberate (the lazy shard map) and carry a static-analysis baseline
-  entry — but the counters surface regressions in serving stats.
+  deliberate (the catalog's maintenance lock serializes flush and merge
+  I/O, suppressed inline for the static rule) — but the counters surface
+  regressions in serving stats.
 * **Counters** (:func:`stats`): locks instrumented, max locks held by one
   thread at once, cycles found, held-while-I/O events.  The runtime merges
   them into ``serving_stats()`` so the observability surface is one dict.

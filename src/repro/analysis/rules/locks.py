@@ -25,15 +25,12 @@ _IO_DOTTED = {
     "os.path.getsize",
     "mmap.mmap",
     "Segment.open",
-    "ShardedSegment.open",
     "seglib.Segment.open",
-    "seglib.ShardedSegment.open",
 }
 _IO_METHODS = {
     "load_segment",
     "flush_segment",
     "save_manifest",
-    "open_segment",
     "remove_segment",
 }
 

@@ -2,9 +2,8 @@
 
 The catalog is the serving core of the persistence layer: a ``flush``
 writes every materialised :class:`~repro.core.lineage_store.OpLineageStore`
-as one segment (monolithic, or sharded ``.seg.0..k`` above a size
-threshold — see :mod:`repro.storage.segment`) plus one JSON manifest
-(``catalog.json``) describing them.  A fresh process then opens the
+as one segment file (see :mod:`repro.storage.segment`) plus one JSON
+manifest (``catalog.json``) describing them.  A fresh process then opens the
 manifest only; individual stores are opened on first query — mmap-backed,
 no decode — so serving a single backward query over a hundred-store
 workflow touches one segment, not a hundred.
@@ -50,19 +49,20 @@ Since the append-merge refactor the catalog is also **generational**:
   sessions pinned on the old generation set keep serving it — the delta
   files they still map are unlinked only when the last pin drops
   (``_OpenStore.unlink_on_close``).  Eviction accounting is per
-  generation: an overlay is charged the sum of its generations' *mapped*
-  bytes, so a mostly-unmapped sharded delta costs what it maps.
+  generation: an open store is charged its manifest bytes, so an overlay
+  costs the sum of its generations' segment files.
 
 The manifest records, per store generation: the node, the strategy triple,
 the generation ordinal (omitted when 0 — a never-appended catalog is
 byte-compatible with the pre-generation schema), the array shapes needed
-to reconstruct the store object, the segment filename (plus the shard
-filenames when the store was sharded), its size, and whether the lowered
-tables were persisted.  ``catalog.json`` is written atomically (tmp +
-``os.replace``) so a crash mid-write can never brick the catalog.
+to reconstruct the store object, the segment filename, its size, and
+whether the lowered tables were persisted.  ``catalog.json`` is written
+atomically (tmp + ``os.replace``) so a crash mid-write can never brick the
+catalog.  A manifest entry carrying ``shards`` (the retired byte-threshold
+sharded layout) is refused at :meth:`StoreCatalog.open` — re-flush it.
 
 Corruption handling lives in :func:`repro.workflow.recovery.recover_lineage`,
-which checksum-verifies every segment (all shards, all generations) against
+which checksum-verifies every segment (all generations) against
 the manifest and quarantines the corrupt ones — a torn generation is set
 aside without losing the older generations under it;
 :meth:`StoreCatalog.open_store` itself only does the structural validation
@@ -140,9 +140,6 @@ class CatalogEntry:
     file: str
     nbytes: int
     lowered: bool
-    #: shard filenames (``<file>.0..k``) when the store was flushed sharded;
-    #: empty for a monolithic segment
-    shards: tuple[str, ...] = ()
     #: generation ordinal; 0 is the base segment, higher is a newer delta
     gen: int = 0
     #: True when the segment carries bloom/zone filter sections, so overlay
@@ -153,11 +150,6 @@ class CatalogEntry:
     @property
     def key(self) -> tuple[str, StorageStrategy]:
         return (self.node, self.strategy)
-
-    @property
-    def files(self) -> tuple[str, ...]:
-        """The on-disk file(s) actually backing this store generation."""
-        return self.shards if self.shards else (self.file,)
 
 
 @dataclass
@@ -206,23 +198,10 @@ class _OpenStore:
     ready: threading.Event = field(default_factory=threading.Event)
 
     def resident_bytes(self) -> int:
-        """What this record actually costs the budget *right now*.
-
-        A sharded store maps its shards lazily, so it is charged only the
-        bytes of the shards currently mapped — not its full manifest size;
-        a store still loading is charged its manifest size as a
-        reservation; a closed store costs nothing.
-        """
-        if self.closed:
-            return 0
-        store = self.store
-        if store is None:  # placeholder: reserve the full size while loading
-            return self.nbytes
-        seg = store._segment
-        if seg is None:
-            return 0
-        mapped = getattr(seg, "mapped_bytes", None)
-        return mapped() if mapped is not None else self.nbytes
+        """What this record costs the budget: its manifest bytes (the
+        segment file, or an overlay's generations summed) — reserved while
+        the store is still loading — and nothing once closed."""
+        return 0 if self.closed else self.nbytes
 
 
 class StoreCatalog:
@@ -294,12 +273,10 @@ class StoreCatalog:
         cls,
         directory: str,
         stores,
-        shard_threshold_bytes: int | None = None,
         memory_budget_bytes: int | None = None,
     ) -> tuple["StoreCatalog", int]:
-        """Flush ``stores`` (one segment each — sharded above the threshold
-        when one is given — lowered tables included) and the manifest;
-        returns ``(catalog, total_bytes_written)``.
+        """Flush ``stores`` (one segment file each, lowered tables
+        included) and the manifest; returns ``(catalog, total_bytes_written)``.
 
         ``stores`` is anything with ``.items()`` yielding
         ``((node, strategy), store)`` pairs — a plain dict, or a lazy view
@@ -320,14 +297,8 @@ class StoreCatalog:
         for (node, strategy), store in stores.items():
             fname = store_filename(node, strategy)
             path = os.path.join(directory, fname)
-            nbytes = store.flush_segment(path, shard_threshold_bytes=shard_threshold_bytes)
+            nbytes = store.flush_segment(path)
             total += nbytes
-            files = seglib.segment_files(path)
-            shards = (
-                tuple(os.path.basename(f) for f in files)
-                if files != [path]
-                else ()
-            )
             entries.append(
                 CatalogEntry(
                     node=node,
@@ -337,14 +308,13 @@ class StoreCatalog:
                     file=fname,
                     nbytes=nbytes,
                     lowered=store.lowered_ready(),
-                    shards=shards,
                     filters=store.persists_filters(),
                 )
             )
             # a full flush supersedes every delta generation of this store
-            for gen, _ in sorted(seglib.generation_files(path).items()):
+            for gen, gen_path in seglib.generation_files(path).items():
                 if gen != 0:
-                    seglib.remove_segment(seglib.generation_path(path, gen))
+                    seglib.remove_segment(gen_path)
         catalog = cls(directory, entries, memory_budget_bytes=memory_budget_bytes)
         total += catalog.save_manifest()
         return catalog, total
@@ -370,14 +340,12 @@ class StoreCatalog:
                         "nbytes": entry.nbytes,
                         "lowered": entry.lowered,
                     }
-                    if entry.shards:
-                        obj["shards"] = list(entry.shards)
                     if entry.gen:
                         # gen 0 stays implicit so a never-appended manifest is
                         # byte-compatible with the pre-generation schema
                         obj["gen"] = entry.gen
                     if entry.filters:
-                        # like gen/shards: optional and additive, so catalogs
+                        # like gen: optional and additive, so catalogs
                         # written before filters round-trip byte-identically
                         obj["filters"] = True
                     stores.append(obj)
@@ -408,7 +376,6 @@ class StoreCatalog:
         cls,
         directory: str,
         stores,
-        shard_threshold_bytes: int | None = None,
         memory_budget_bytes: int | None = None,
     ) -> tuple["StoreCatalog", int]:
         """Append ``stores`` to the catalog at ``directory`` as delta
@@ -427,12 +394,9 @@ class StoreCatalog:
                     f"cannot create catalog directory {directory!r}: {exc}"
                 ) from exc
             catalog = cls(directory, [], memory_budget_bytes=memory_budget_bytes)
-        total = catalog.append_stores(
-            stores, shard_threshold_bytes=shard_threshold_bytes
-        )
-        return catalog, total
+        return catalog, catalog.append_stores(stores)
 
-    def append_stores(self, stores, shard_threshold_bytes: int | None = None) -> int:
+    def append_stores(self, stores) -> int:
         """Write each store as the next delta generation of its key and
         re-register the manifest; returns bytes written.
 
@@ -451,9 +415,9 @@ class StoreCatalog:
         """
         with self._maintenance_lock:
             # szlint: ignore[SZ002] -- the maintenance lock exists to serialize flush I/O; readers never take it
-            return self._append_stores_locked(stores, shard_threshold_bytes)
+            return self._append_stores_locked(stores)
 
-    def _append_stores_locked(self, stores, shard_threshold_bytes: int | None) -> int:
+    def _append_stores_locked(self, stores) -> int:
         # validate every delta's shapes BEFORE writing anything, so a
         # mixed-validity batch fails whole: no store of the batch is
         # committed, and the manifest never lags a segment already written
@@ -480,7 +444,7 @@ class StoreCatalog:
         appended = False
         try:
             for key, store in pending:
-                total += self._append_one_locked(key, store, shard_threshold_bytes)
+                total += self._append_one_locked(key, store)
                 appended = True
         finally:
             # persist whatever WAS committed even when a later store's write
@@ -489,12 +453,7 @@ class StoreCatalog:
                 total += self.save_manifest()
         return total
 
-    def _append_one_locked(
-        self,
-        key: tuple[str, StorageStrategy],
-        store,
-        shard_threshold_bytes: int | None,
-    ) -> int:
+    def _append_one_locked(self, key: tuple[str, StorageStrategy], store) -> int:
         node, strategy = key
         with self._lock:
             existing = self._entries.get(key, ())
@@ -507,15 +466,7 @@ class StoreCatalog:
         else:
             gen = 0
         path = seglib.generation_path(base_path, gen)
-        nbytes = store.flush_segment(
-            path, shard_threshold_bytes=shard_threshold_bytes
-        )
-        files = seglib.segment_files(path)
-        shards = (
-            tuple(os.path.basename(f) for f in files)
-            if files != [path]
-            else ()
-        )
+        nbytes = store.flush_segment(path)
         entry = CatalogEntry(
             node=node,
             strategy=strategy,
@@ -524,7 +475,6 @@ class StoreCatalog:
             file=os.path.basename(path),
             nbytes=nbytes,
             lowered=store.lowered_ready(),
-            shards=shards,
             gen=gen,
             filters=store.persists_filters(),
         )
@@ -543,7 +493,6 @@ class StoreCatalog:
         node: str | None = None,
         strategy: StorageStrategy | None = None,
         budget_bytes: int | None = None,
-        shard_threshold_bytes: int | None = None,
     ) -> CompactionReport:
         """Merge delta generations back into one base segment per key,
         online: concurrent sessions keep serving throughout.
@@ -558,36 +507,24 @@ class StoreCatalog:
 
         Per key the sequence is crash-safe and reader-safe: the merged
         segment is written to a tmp file and atomically renamed over the
-        generation-0 path (pinned readers of the old base keep their inode,
-        and the old base's superseded shard files are *not* touched yet);
+        generation-0 path (pinned readers of the old base keep their inode);
         the in-memory entry set and then the manifest are swapped (a crash
         before the manifest swap leaves the old manifest pointing at the
         merged base plus the deltas — an overlay of a superset, still
-        correct); finally the superseded files — delta generations and the
-        old base's stale shards — are unlinked, deferred until the last pin
-        drops when the key is currently borrowed.  Mutating maintenance
-        (appends, other compactions) is serialized with this call; readers
-        are not blocked.
-
-        Caveat: the full compact-while-serving guarantee holds for the
-        default *monolithic* merge.  Passing ``shard_threshold_bytes``
-        re-shards the base **in place** (new shard files rename over old
-        ordinals); a reader pinned on the old sharded base that lazily maps
-        a replaced shard then fails *loudly* (the per-flush shard token
-        refuses mixed generations) rather than serving the old set.  Prefer
-        monolithic compaction while serving; re-shard in a maintenance
-        window or with a full re-flush.
+        correct); finally the superseded delta generations are unlinked,
+        deferred until the last pin drops when the key is currently
+        borrowed.  Mutating maintenance (appends, other compactions) is
+        serialized with this call; readers are not blocked.
         """
         with self._maintenance_lock:
             # szlint: ignore[SZ002] -- the maintenance lock exists to serialize merge I/O; readers never take it
-            return self._compact_locked(node, strategy, budget_bytes, shard_threshold_bytes)
+            return self._compact_locked(node, strategy, budget_bytes)
 
     def _compact_locked(
         self,
         node: str | None,
         strategy: StorageStrategy | None,
         budget_bytes: int | None,
-        shard_threshold_bytes: int | None,
     ) -> CompactionReport:
         with self._lock:
             candidates = [
@@ -609,7 +546,7 @@ class StoreCatalog:
             ):
                 report.skipped.append(key)
                 continue
-            written = self._compact_key(key, generations, shard_threshold_bytes)
+            written = self._compact_key(key, generations)
             spent += size
             report.compacted.append((key[0], key[1], len(generations)))
             report.bytes_written += written
@@ -620,7 +557,6 @@ class StoreCatalog:
         self,
         key: tuple[str, StorageStrategy],
         generations: tuple[CatalogEntry, ...],
-        shard_threshold_bytes: int | None,
     ) -> int:
         node, strategy = key
         base = generations[0]
@@ -637,17 +573,8 @@ class StoreCatalog:
             # oldest first, finalized once
             merged = OverlayStore(stores).merged_store()
             base_path = os.path.join(self.directory, store_filename(node, strategy))
-            # superseded base files (e.g. the old sharded base's .0..k when
-            # the merge writes a monolith) are *reported*, not removed —
-            # a pinned reader may not have mapped them yet, and the old
-            # manifest still references them until the swap below
-            base_stale: list[str] = []
             try:
-                nbytes = merged.flush_segment(
-                    base_path,
-                    shard_threshold_bytes=shard_threshold_bytes,
-                    stale_sink=base_stale,
-                )
+                nbytes = merged.flush_segment(base_path)
             except (OSError, StorageError) as exc:
                 # e.g. Windows refusing to rename over a base segment a
                 # pinned reader still maps; nothing was swapped — the old
@@ -660,12 +587,6 @@ class StoreCatalog:
         finally:
             for store in stores:
                 store.close()
-        files = seglib.segment_files(base_path)
-        shards = (
-            tuple(os.path.basename(f) for f in files)
-            if files != [base_path]
-            else ()
-        )
         new_entry = CatalogEntry(
             node=node,
             strategy=strategy,
@@ -674,13 +595,12 @@ class StoreCatalog:
             file=store_filename(node, strategy),
             nbytes=nbytes,
             lowered=merged.lowered_ready(),
-            shards=shards,
             gen=0,
             filters=merged.persists_filters(),
         )
         stale = [
             os.path.join(self.directory, e.file) for e in generations if e.gen != 0
-        ] + base_stale
+        ]
         merged_gens = {e.gen for e in generations}
         with self._lock:
             # generations appended while we merged survive as deltas over
@@ -739,6 +659,11 @@ class StoreCatalog:
         entries = []
         try:
             for obj in manifest["stores"]:
+                if isinstance(obj, dict) and "shards" in obj:
+                    raise StorageError(
+                        f"lineage catalog {path!r}: store {obj.get('file')!r} "
+                        "uses the sharded layout, re-flush required"
+                    )
                 entries.append(
                     CatalogEntry(
                         node=obj["node"],
@@ -748,7 +673,6 @@ class StoreCatalog:
                         file=obj["file"],
                         nbytes=int(obj["nbytes"]),
                         lowered=bool(obj.get("lowered", False)),
-                        shards=tuple(obj.get("shards", ())),
                         gen=int(obj.get("gen", 0)),
                         filters=bool(obj.get("filters", False)),
                     )

@@ -190,8 +190,9 @@ class RegionEntryTable:
         self._rtree: RTree | None = None
         self._probes: dict[int, codecs.BatchProbe] = {}
         #: ``(segment, prefix, fields, n)`` when persisted lowered tables
-        #: are available but not yet hydrated — the shard holding them maps
-        #: only when a mismatched scan first asks (lazy per-shard load)
+        #: are available but not yet hydrated — built into a ``BatchProbe``
+        #: only when a mismatched scan first asks, so a matched point query
+        #: never pays for it
         self._probe_source: tuple | None = None
         self._dirty = False
         # serializes finalize and probe construction under concurrent
@@ -420,7 +421,7 @@ class RegionEntryTable:
                     seg, prefix, fields, n = self._probe_source
                     if field in fields:
                         # hydrate from the persisted lowered tables; this is
-                        # the access that maps the shard holding them
+                        # the first access that pages them in
                         tables = {
                             tname: seg.array(f"{prefix}probe{field}.{tname}")
                             for tname in codecs.BatchProbe.LOWERED_NAMES
@@ -571,8 +572,8 @@ class RegionEntryTable:
         table._rtree = RTree.from_segment(seg, prefix + "rtree.")
         fields = [int(f) for f in meta.get("probe_fields", [])]
         if fields:
-            # defer hydration: the shard holding the lowered tables is
-            # mapped only when a mismatched scan first asks for a probe
+            # defer hydration: the lowered tables are wrapped into a probe
+            # only when a mismatched scan first asks for one
             table._probe_source = (seg, prefix, fields, int(meta["n"]))
         return table
 
@@ -711,25 +712,9 @@ class OpLineageStore:
         lowered tables — no codec header walk left to pay."""
         return True
 
-    def flush_segment(
-        self,
-        path: str,
-        shard_threshold_bytes: int | None = None,
-        stale_sink: list | None = None,
-    ) -> int:
+    def flush_segment(self, path: str) -> int:
         """Persist the whole store — every component plus the lowered
-        batch-probe tables — and return bytes written.
-
-        Writes ONE segment file by default; when ``shard_threshold_bytes``
-        is given and the payload exceeds it, the store is split into
-        ``path.0 .. path.k`` shard files instead (each a complete segment;
-        see :meth:`~repro.storage.segment.SegmentWriter.write_sharded`), so
-        a later reader maps only the shards its query touches.
-
-        ``stale_sink`` defers removal of the previous flush's superseded
-        (non-shadowing) files: their paths are appended there instead of
-        unlinked, which is how online compaction keeps a pinned reader's
-        lazily-mapped shards alive until its last release."""
+        batch-probe tables — as ONE segment file; returns bytes written."""
         self.finalize_if_possible()
         self.warm_lowered_tables()
         writer = seglib.SegmentWriter()
@@ -752,23 +737,18 @@ class OpLineageStore:
                     for tag, (keys, shape) in surfaces.items()
                 },
             )
-        if shard_threshold_bytes is not None:
-            nbytes, _ = writer.write_sharded(
-                path, shard_threshold_bytes, stale_sink=stale_sink
-            )
-            return nbytes
-        return writer.write(path, stale_sink=stale_sink)
+        return writer.write(path)
 
     def load_segment(self, source) -> None:
         """Replace every component with its counterpart in ``source`` (a
-        path or an open :class:`~repro.storage.segment.Segment` /
-        :class:`~repro.storage.segment.ShardedSegment`).  Sections stay
-        mmap-backed: nothing is decoded or copied until a query touches it.
-        The store takes ownership of the handle: :meth:`close` releases it."""
-        if isinstance(source, (seglib.Segment, seglib.ShardedSegment)):
+        path or an open :class:`~repro.storage.segment.Segment`).  Sections
+        stay mmap-backed: nothing is decoded or copied until a query touches
+        it.  The store takes ownership of the handle: :meth:`close` releases
+        it."""
+        if isinstance(source, seglib.Segment):
             seg = source
         else:
-            seg = seglib.open_segment(source)
+            seg = seglib.Segment.open(source)
         meta = seg.json("store")
         if (
             meta.get("node") != self.node

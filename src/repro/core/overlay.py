@@ -41,6 +41,8 @@ Design points:
 * The overlay is read-only: ingest/absorb go to the concrete layouts.  A
   full (non-append) re-flush of an overlay collapses it — the segment it
   writes is the compacted merge.
+* The overlay maps no segment of its own; the serving cache charges an
+  open overlay the manifest bytes of its sources, one segment file each.
 
 Query answers over an overlay are *set-identical* to the same lineage in
 one store: every public read returns packed cell sets (or per-cell
@@ -109,31 +111,6 @@ class FilterStats:
             }
 
 
-class _OverlaySegments:
-    """Accounting/lifecycle shim standing in for a single segment handle.
-
-    The serving cache charges an open store by ``store._segment``'s mapped
-    bytes; an overlay's footprint is the sum of its sources' mappings
-    (each of which may itself be a lazily-mapped sharded segment, or a
-    nested overlay carrying this same shim).
-    """
-
-    __slots__ = ("_stores",)
-
-    def __init__(self, stores: list[LineageSource]):
-        self._stores = stores
-
-    def mapped_bytes(self) -> int:
-        total = 0
-        for store in self._stores:
-            seg = store._segment
-            if seg is None:
-                continue
-            mapped = getattr(seg, "mapped_bytes", None)
-            total += mapped() if mapped is not None else seg.nbytes
-        return total
-
-
 class OverlayStore(OpLineageStore):
     """Union view over one key's lineage sources (see module docstring).
 
@@ -159,7 +136,6 @@ class OverlayStore(OpLineageStore):
         #: newest first)
         self._sources: list[LineageSource] = list(stores)
         self.kind = kind
-        self._segment = _OverlaySegments(self._sources)
         #: cached concatenation of the sources' payload columns
         self._merged_payload: tuple | None = None
         self._plock = lockcheck.make_lock("overlay.payload")
@@ -194,7 +170,6 @@ class OverlayStore(OpLineageStore):
 
     def close(self) -> None:
         with self._plock:
-            self._segment = None
             self._merged_payload = None
         for store in self._sources:
             store.close()
@@ -232,17 +207,8 @@ class OverlayStore(OpLineageStore):
         merged.finalize_if_possible()
         return merged
 
-    def flush_segment(
-        self,
-        path: str,
-        shard_threshold_bytes: int | None = None,
-        stale_sink: list | None = None,
-    ) -> int:
-        return self.merged_store().flush_segment(
-            path,
-            shard_threshold_bytes=shard_threshold_bytes,
-            stale_sink=stale_sink,
-        )
+    def flush_segment(self, path: str) -> int:
+        return self.merged_store().flush_segment(path)
 
     # -- matched-orientation reads --------------------------------------------
     #

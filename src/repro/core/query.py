@@ -113,6 +113,11 @@ class QueryRequest:
             object.__setattr__(
                 self, "path", tuple((s.node, s.input_idx) for s in steps)
             )
+        for endpoint in (self.start, self.end):
+            if endpoint is not None and not isinstance(endpoint, str):
+                raise QueryError(
+                    f"start/end must be node names (str), got {endpoint!r}"
+                )
         has_endpoints = self.start is not None or self.end is not None
         if (self.path is None) == (not has_endpoints):
             raise QueryError(
@@ -188,7 +193,8 @@ class QueryRequest:
             )
         except QueryError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a cell beyond int64, or an infinite float
             raise QueryError(f"malformed query request: {exc}") from exc
 
     # -- resolution ---------------------------------------------------------
@@ -234,7 +240,7 @@ def _coerce_cells(cells) -> np.ndarray:
     coordinate error."""
     try:
         return C.as_coord_array(cells)
-    except CoordinateError as exc:
+    except (CoordinateError, OverflowError) as exc:
         raise QueryError(f"invalid query cells: {exc}") from exc
 
 

@@ -364,31 +364,14 @@ class LineageRuntime:
 
     # -- persistence --------------------------------------------------------------------
 
-    def flush_all(
-        self,
-        directory: str,
-        shard_threshold_bytes: int | None = None,
-        append: bool = False,
-        partitions=None,
-    ) -> int:
+    def flush_all(self, directory: str, append: bool = False, partitions=None) -> int:
         """Drain any in-flight background encodes, then persist every
         lineage store (see :meth:`_flush_all_now` for the write itself);
         returns total bytes written."""
         self.drain_capture()
-        return self._flush_all_now(
-            directory,
-            shard_threshold_bytes=shard_threshold_bytes,
-            append=append,
-            partitions=partitions,
-        )
+        return self._flush_all_now(directory, append=append, partitions=partitions)
 
-    def flush_all_async(
-        self,
-        directory: str,
-        shard_threshold_bytes: int | None = None,
-        append: bool = False,
-        partitions=None,
-    ):
+    def flush_all_async(self, directory: str, append: bool = False, partitions=None):
         """Queue the flush on the background encode worker and return its
         :class:`~concurrent.futures.Future` (resolving to bytes written).
 
@@ -399,27 +382,17 @@ class LineageRuntime:
         flushes), at which point any :class:`~repro.errors.StorageError`
         re-raises."""
         return self._capture.submit(
-            lambda: self._flush_all_now(
-                directory,
-                shard_threshold_bytes=shard_threshold_bytes,
-                append=append,
-                partitions=partitions,
-            )
+            lambda: self._flush_all_now(directory, append=append, partitions=partitions)
         )
 
     def _flush_all_now(
-        self,
-        directory: str,
-        shard_threshold_bytes: int | None = None,
-        append: bool = False,
-        partitions=None,
+        self, directory: str, append: bool = False, partitions=None
     ) -> int:
         """Persist every lineage store under ``directory`` as one segment
-        each (lowered batch-scan tables included; sharded into
-        ``.seg.0..k`` files above ``shard_threshold_bytes`` when given)
-        plus a workflow manifest (``catalog.json``); returns total bytes
-        written.  Region lineage stays a cache — this just lets a later
-        session serve it straight off disk instead of rebuilding it.
+        file each (lowered batch-scan tables included) plus a workflow
+        manifest (``catalog.json``); returns total bytes written.  Region
+        lineage stays a cache — this just lets a later session serve it
+        straight off disk instead of rebuilding it.
 
         ``append=True`` turns the flush incremental: only the *resident*
         stores (this run's lineage) are written, as delta generations of
@@ -463,20 +436,14 @@ class LineageRuntime:
             if catalog is not None and os.path.abspath(
                 catalog.directory
             ) == os.path.abspath(directory):
-                return catalog.append_stores(
-                    resident, shard_threshold_bytes=shard_threshold_bytes
-                )
+                return catalog.append_stores(resident)
             if is_partitioned_root(directory):
                 root = PartitionedCatalog.open(directory)
                 try:
-                    return root.append_stores(
-                        resident, shard_threshold_bytes=shard_threshold_bytes
-                    )
+                    return root.append_stores(resident)
                 finally:
                     root.close()
-            appended, total = StoreCatalog.append(
-                directory, resident, shard_threshold_bytes=shard_threshold_bytes
-            )
+            appended, total = StoreCatalog.append(directory, resident)
             appended.close()
             return total
 
@@ -509,16 +476,11 @@ class LineageRuntime:
 
         if partitions is not None:
             root, total = PartitionedCatalog.write(
-                directory,
-                _Stores(),
-                partitions=partitions,
-                shard_threshold_bytes=shard_threshold_bytes,
+                directory, _Stores(), partitions=partitions
             )
             root.close()
             return total
-        _, total = StoreCatalog.write(
-            directory, _Stores(), shard_threshold_bytes=shard_threshold_bytes
-        )
+        _, total = StoreCatalog.write(directory, _Stores())
         return total
 
     def load_all(self, directory: str, memory_budget_bytes: int | None = None) -> int:

@@ -193,15 +193,13 @@ class SubZero:
     def flush_lineage(
         self,
         directory: str,
-        shard_threshold_bytes: int | None = None,
         append: bool = False,
         wait: bool = True,
         partitions=None,
     ):
         """Persist every materialised lineage store under ``directory`` as
-        segment files plus a catalog manifest; returns bytes written.
-        Stores larger than ``shard_threshold_bytes`` (when given) are split
-        into ``.seg.0..k`` shard files a later reader maps piecemeal.
+        one segment file each plus a catalog manifest; returns bytes
+        written.
 
         ``append=True`` makes the flush *incremental*: this run's stores
         are written as delta generations over the catalog already at
@@ -228,16 +226,10 @@ class SubZero:
             raise WorkflowError("execute the workflow before flushing lineage")
         if wait:
             return self.runtime.flush_all(
-                directory,
-                shard_threshold_bytes=shard_threshold_bytes,
-                append=append,
-                partitions=partitions,
+                directory, append=append, partitions=partitions
             )
         future = self.runtime.flush_all_async(
-            directory,
-            shard_threshold_bytes=shard_threshold_bytes,
-            append=append,
-            partitions=partitions,
+            directory, append=append, partitions=partitions
         )
         self._background.append((self.runtime, future))
         return future
@@ -247,7 +239,6 @@ class SubZero:
         node: str | None = None,
         strategy: StorageStrategy | None = None,
         budget_bytes: int | None = None,
-        shard_threshold_bytes: int | None = None,
         parallel: int | None = None,
     ):
         """Merge the attached catalog's delta generations back into one
@@ -264,12 +255,7 @@ class SubZero:
                 "no lineage catalog attached; load_lineage/resume first"
             )
         catalog = self.runtime.catalog
-        kwargs = dict(
-            node=node,
-            strategy=strategy,
-            budget_bytes=budget_bytes,
-            shard_threshold_bytes=shard_threshold_bytes,
-        )
+        kwargs = dict(node=node, strategy=strategy, budget_bytes=budget_bytes)
         if hasattr(catalog, "partition_ids"):
             kwargs["parallel"] = parallel
         return catalog.compact(**kwargs)

@@ -188,6 +188,18 @@ class _DaemonServer(ThreadingHTTPServer):
         super().__init__(address, _RequestHandler)
 
 
+def _content_length(raw: str) -> int:
+    """The request body length; :class:`ProtocolError` unless ``raw`` is
+    a non-negative integer (``rfile.read(-1)`` would wait for EOF)."""
+    try:
+        length = int(raw)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise ProtocolError(f"invalid Content-Length {raw!r}")
+    return length
+
+
 class _RequestHandler(BaseHTTPRequestHandler):
     """Routes the protocol's endpoints; one instance per connection."""
 
@@ -234,7 +246,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
             )
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            length = _content_length(self.headers.get("Content-Length", "0"))
+        except ProtocolError as exc:
+            # the body's extent is unknown, so this connection cannot be
+            # re-synchronised: answer, then close it
+            self.close_connection = True
+            self._send(400, protocol.error_body(type(exc).__name__, str(exc)))
+            return
+        try:
             request = protocol.load_request(self.rfile.read(length))
         except (ProtocolError, QueryError) as exc:
             self._send(400, protocol.error_body(type(exc).__name__, str(exc)))
@@ -267,6 +286,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             if retry_after is not None:
                 self.send_header("Retry-After", str(retry_after))
             self.end_headers()

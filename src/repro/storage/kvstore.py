@@ -317,7 +317,7 @@ class BlobStore:
         self._ends = np.empty(0, dtype=np.int64)
         self._probes: dict = {}
         #: ``(segment, prefix, fields)`` when persisted lowered tables are
-        #: available but not yet hydrated (lazy per-shard load)
+        #: available but not yet hydrated (built into a probe on first scan)
         self._probe_source: tuple | None = None
         # serializes heap extension and probe construction so concurrent
         # reader threads cannot race a cache fill (serving contract)
@@ -398,7 +398,7 @@ class BlobStore:
                     seg, prefix, fields = self._probe_source
                     if field in fields:
                         # hydrate from the persisted lowered tables; this is
-                        # the access that maps the shard holding them
+                        # the first access that pages them in
                         tables = {
                             tname: seg.array(f"{prefix}probe{field}.{tname}")
                             for tname in codecs.BatchProbe.LOWERED_NAMES
@@ -477,8 +477,8 @@ class BlobStore:
         store._starts = starts
         fields = [int(f) for f in meta.get("probe_fields", [])]
         if fields:
-            # defer hydration: the shard holding the lowered tables is
-            # mapped only when a mismatched scan first asks for a probe
+            # defer hydration: the lowered tables are wrapped into a probe
+            # only when a mismatched scan first asks for one
             store._probe_source = (seg, prefix, fields)
         return store
 

@@ -212,7 +212,6 @@ class PartitionedCatalog:
         directory: str,
         stores,
         partitions,
-        shard_threshold_bytes: int | None = None,
         memory_budget_bytes: int | None = None,
     ) -> tuple["PartitionedCatalog", int]:
         """Flush ``stores`` split across partitions; returns
@@ -257,9 +256,7 @@ class PartitionedCatalog:
         total = 0
         for info in infos:
             child, nbytes = StoreCatalog.write(
-                os.path.join(directory, info.path),
-                _OnePartition(info.id),
-                shard_threshold_bytes=shard_threshold_bytes,
+                os.path.join(directory, info.path), _OnePartition(info.id)
             )
             child.close()
             total += nbytes
@@ -525,7 +522,7 @@ class PartitionedCatalog:
 
     # -- appending / compaction -------------------------------------------------
 
-    def append_stores(self, stores, shard_threshold_bytes: int | None = None) -> int:
+    def append_stores(self, stores) -> int:
         """Route each store to its partition and append it there as a
         delta generation; returns bytes written.  Unmapped (new) nodes are
         hash-assigned over the full partition list — including quarantined
@@ -552,9 +549,7 @@ class PartitionedCatalog:
             by_pid.setdefault(pid, {})[key] = store
         total = 0
         for pid, sub in by_pid.items():
-            total += self._children[pid].append_stores(
-                sub, shard_threshold_bytes=shard_threshold_bytes
-            )
+            total += self._children[pid].append_stores(sub)
         if grew:
             total += self.save_root_manifest()
         return total
@@ -564,7 +559,6 @@ class PartitionedCatalog:
         node: str | None = None,
         strategy: StorageStrategy | None = None,
         budget_bytes: int | None = None,
-        shard_threshold_bytes: int | None = None,
         parallel: int | None = None,
     ) -> CompactionReport:
         """Compact the partitions' delta generations, each partition
@@ -582,12 +576,7 @@ class PartitionedCatalog:
             targets = list(self._live_children().values())
         if not targets:
             return CompactionReport()
-        kwargs = dict(
-            node=node,
-            strategy=strategy,
-            budget_bytes=budget_bytes,
-            shard_threshold_bytes=shard_threshold_bytes,
-        )
+        kwargs = dict(node=node, strategy=strategy, budget_bytes=budget_bytes)
         if len(targets) == 1 or (parallel is not None and parallel <= 1):
             reports = [child.compact(**kwargs) for child in targets]
         else:

@@ -41,21 +41,13 @@ mapping survives until the final exported buffer dies), but a closed handle
 refuses all further section access, which is the invariant the serving
 cache's eviction relies on.
 
-Sharding: stores above a size threshold flush as ``<name>.seg.0..k`` shard
-files instead of one monolithic segment (:meth:`SegmentWriter.write_sharded`).
-Every shard is itself a complete, independently-checksummed segment file;
-shard 0 additionally carries a ``__shards__`` JSON section mapping every
-section name to its shard, so :class:`ShardedSegment` opens shard 0 only
-and maps sibling shards lazily on the first access that needs them.
-
 Generations: an *incremental* flush appends a store's new lineage as a
 **delta segment** next to the base one instead of rewriting it.  Generation
 ``g > 0`` of base path ``<name>.seg`` lives at ``<name>.gen.<g>.seg``
 (:func:`generation_path`); generation 0 *is* the base path, so a catalog
 that never appended is file-for-file identical to the pre-generation
-layout.  A generation file is an ordinary segment (monolithic or sharded
-``…gen.<g>.seg.0..k``) — the overlay/merge semantics live one layer up, in
-:mod:`repro.core.catalog`.
+layout.  Every generation is exactly one ordinary segment file — the
+overlay/merge semantics live one layer up, in :mod:`repro.core.catalog`.
 """
 
 from __future__ import annotations
@@ -77,13 +69,10 @@ __all__ = [
     "GENERATION_INFIX",
     "Segment",
     "SegmentWriter",
-    "ShardedSegment",
     "generation_files",
     "generation_path",
     "is_segment_file",
-    "open_segment",
     "remove_segment",
-    "segment_files",
 ]
 
 MAGIC = b"SZSG"
@@ -92,13 +81,6 @@ VERSION = 1
 #: marker splitting a base segment name from its generation ordinal:
 #: generation ``g`` of ``<stem>.seg`` is the sibling ``<stem>.gen.<g>.seg``
 GENERATION_INFIX = ".gen."
-
-#: name of the shard-index JSON section stored in shard 0 of a sharded write
-SHARD_INDEX_SECTION = "__shards__"
-
-#: name of the per-shard JSON section naming the flush every shard belongs
-#: to; shards of one store must agree or the reader refuses them
-SHARD_META_SECTION = "__shard_meta__"
 
 _HEADER = struct.Struct("<4sHq")  # magic, version, manifest length
 _KINDS = ("array", "bytes", "json")
@@ -117,23 +99,6 @@ def is_segment_file(path: str) -> bool:
         return False
 
 
-def segment_files(path: str) -> list[str]:
-    """The file(s) actually backing the logical segment ``path``.
-
-    ``[path]`` for a monolithic segment, ``[path.0, ..., path.k]`` for a
-    sharded one, ``[]`` when neither exists.  The shard scan stops at the
-    first gap, matching the contiguous numbering the writer guarantees.
-    """
-    if os.path.exists(path):
-        return [path]
-    files: list[str] = []
-    i = 0
-    while os.path.exists(f"{path}.{i}"):
-        files.append(f"{path}.{i}")
-        i += 1
-    return files
-
-
 def generation_path(path: str, gen: int) -> str:
     """The on-disk path of generation ``gen`` of base segment ``path``.
 
@@ -149,19 +114,17 @@ def generation_path(path: str, gen: int) -> str:
     return f"{root}{GENERATION_INFIX}{gen}{ext}"
 
 
-def generation_files(path: str) -> dict[int, list[str]]:
+def generation_files(path: str) -> dict[int, str]:
     """Every generation of base segment ``path`` present on disk.
 
-    Maps generation ordinal to the file list backing it (one monolithic
-    file, or the shard files); generation 0 is included when the base
-    segment exists.  Quarantined and temporary files are ignored.  Used to
-    pick a collision-free ordinal for the next append even when a crash
-    left generation files a manifest no longer references.
+    Maps generation ordinal to the file backing it; generation 0 is
+    included when the base segment exists.  Quarantined and temporary files
+    are ignored.  Used to pick a collision-free ordinal for the next append
+    even when a crash left generation files a manifest no longer references.
     """
-    out: dict[int, list[str]] = {}
-    base_files = segment_files(path)
-    if base_files:
-        out[0] = base_files
+    out: dict[int, str] = {}
+    if os.path.exists(path):
+        out[0] = path
     directory = os.path.dirname(path) or "."
     root, ext = os.path.splitext(os.path.basename(path))
     prefix = f"{root}{GENERATION_INFIX}"
@@ -170,50 +133,26 @@ def generation_files(path: str) -> dict[int, list[str]]:
     except OSError:
         return out
     for name in names:
-        if not name.startswith(prefix):
+        ordinal = name[len(prefix): len(name) - len(ext)]
+        if not (name.startswith(prefix) and ordinal.isdigit()):
             continue
-        rest = name[len(prefix):]
-        # "<g>.seg" (monolithic) or "<g>.seg.<k>" (a shard)
-        ordinal, dot, tail = rest.partition(".")
-        if not dot or not ordinal.isdigit():
-            continue
-        if tail != ext[1:] and not (
-            tail.startswith(ext[1:] + ".") and tail[len(ext):].isdigit()
-        ):
-            continue
-        files = segment_files(generation_path(path, int(ordinal)))
-        if files:
-            out[int(ordinal)] = files
+        gen = int(ordinal)
+        gen_path = generation_path(path, gen)
+        # "<stem>.gen.<g>.seg" exactly: no ".gen.0.", no zero-padding
+        if gen and os.path.basename(gen_path) == name:
+            out[gen] = gen_path
     return out
 
 
-def remove_segment(path: str) -> list[str]:
-    """Best-effort removal of the file(s) backing segment ``path``; returns
-    what was actually unlinked.  Missing files are not an error — the
-    deferred-unlink path may race a recovery that already cleaned up."""
+def remove_segment(path: str) -> None:
+    """Best-effort removal of segment ``path``.  A missing file is not an
+    error — the deferred-unlink path may race a recovery that already
+    cleaned up."""
     lockcheck.note_io(f"segment.unlink:{os.path.basename(path)}")
-    removed = []
-    for fpath in segment_files(path):
-        try:
-            os.remove(fpath)
-        except OSError:
-            continue
-        removed.append(fpath)
-    return removed
-
-
-def open_segment(path: str, verify: bool = False):
-    """Open the segment at ``path``, monolithic or sharded.
-
-    Returns a :class:`Segment` when ``path`` itself exists, a
-    :class:`ShardedSegment` when ``path.0`` does; raises
-    :class:`~repro.errors.StorageError` when neither is present.
-    """
-    if os.path.exists(path):
-        return Segment.open(path, verify=verify)
-    if os.path.exists(path + ".0"):
-        return ShardedSegment.open(path, verify=verify)
-    raise StorageError(f"no segment (monolithic or sharded) at {path!r}")
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
 class SegmentWriter:
@@ -254,16 +193,8 @@ class SegmentWriter:
         """Add a small JSON metadata section."""
         self._add(name, "json", json.dumps(obj, sort_keys=True).encode("utf-8"))
 
-    def write(self, path: str, stale_sink: list | None = None) -> int:
-        """Write the segment to ``path``; returns bytes written.
-
-        Stale sibling shard files (``path.0..k`` left by an earlier sharded
-        flush, which the new monolith shadows) are removed — unless
-        ``stale_sink`` is given, in which case their paths are appended to
-        it for the caller to reclaim later.  Online compaction uses that to
-        defer the unlink until the last reader pinning the old (lazily
-        mapped) sharded base has released it.
-        """
+    def write(self, path: str) -> int:
+        """Write the segment to ``path``; returns bytes written."""
         # offsets are relative to the payload base (which the reader derives
         # from the header), so the manifest's own length never perturbs them
         rel = 0
@@ -305,117 +236,7 @@ class SegmentWriter:
                     f"cannot write segment {path!r}: {exc}"
                 ) from exc
             raise
-        _remove_stale_shards(path, 0, stale_sink)
         return nbytes
-
-    def write_sharded(
-        self,
-        path: str,
-        shard_payload_bytes: int,
-        stale_sink: list | None = None,
-    ) -> tuple[int, list[str]]:
-        """Write the collected sections as ``path.0 .. path.k`` shard files.
-
-        Sections are assigned to shards by sequential fill: a shard closes
-        when adding the next section would push it past
-        ``shard_payload_bytes`` (a shard always takes at least one section,
-        so a single oversized section still writes).  Shard 0 leads with the
-        :data:`SHARD_INDEX_SECTION` JSON section naming every shard file and
-        mapping each section name to its shard index; every shard is a
-        complete segment file with its own manifest and checksums.
-
-        Every shard also carries a :data:`SHARD_META_SECTION` naming the
-        flush it belongs to (a fresh random token per write).  There is no
-        atomic cross-file commit, so a crash mid-reflush over an existing
-        sharded store can leave files from two flushes side by side — each
-        internally checksum-clean.  The flush token turns that from silent
-        mixed-generation reads into a loud :class:`StorageError` at open
-        (and a quarantine under recovery, which is the cache contract).
-
-        Falls back to a monolithic :meth:`write` when everything fits in one
-        shard.  Returns ``(total_bytes_written, files)``.
-        """
-        import uuid
-
-        groups: list[list[int]] = []
-        current: list[int] = []
-        size = 0
-        for i, record in enumerate(self._sections):
-            if current and size + record["length"] > shard_payload_bytes:
-                groups.append(current)
-                current, size = [], 0
-            current.append(i)
-            size += record["length"]
-        if current:
-            groups.append(current)
-        if len(groups) <= 1:
-            return self.write(path, stale_sink=stale_sink), [path]
-        basename = os.path.basename(path)
-        flush_token = uuid.uuid4().hex
-        files = [f"{path}.{s}" for s in range(len(groups))]
-        index = {
-            "files": [f"{basename}.{s}" for s in range(len(groups))],
-            "sections": {
-                self._sections[i]["name"]: s
-                for s, group in enumerate(groups)
-                for i in group
-            },
-        }
-        total = 0
-        for s, group in enumerate(groups):
-            shard = SegmentWriter()
-            shard.add_json(
-                SHARD_META_SECTION, {"flush": flush_token, "ordinal": s}
-            )
-            if s == 0:
-                shard.add_json(SHARD_INDEX_SECTION, index)
-            for i in group:
-                record = self._sections[i]
-                shard._add(
-                    record["name"],
-                    record["kind"],
-                    self._payloads[i],
-                    {
-                        k: record[k]
-                        for k in ("dtype", "shape")
-                        if k in record
-                    },
-                )
-            total += shard.write(files[s])
-        # a re-flush may shrink the shard count or replace an old monolith;
-        # drop whichever stale files would shadow or trail the new layout.
-        # The old monolith is always removed now (it would *shadow* the new
-        # shards); trailing shards only *trail* and may be deferred via
-        # stale_sink for readers still pinning the old layout.
-        if os.path.exists(path):
-            try:
-                os.remove(path)
-            except OSError as exc:
-                raise StorageError(
-                    f"cannot remove shadowed monolith {path!r}: {exc}"
-                ) from exc
-        _remove_stale_shards(path, len(groups), stale_sink)
-        return total, files
-
-
-def _remove_stale_shards(
-    path: str, first_stale: int, stale_sink: list | None = None
-) -> None:
-    """Remove ``path.N`` files for ``N >= first_stale`` (contiguous run) —
-    or, when ``stale_sink`` is given, report them there for a deferred
-    reclaim instead of unlinking now."""
-    i = first_stale
-    while os.path.exists(f"{path}.{i}"):
-        if stale_sink is not None:
-            stale_sink.append(f"{path}.{i}")
-        else:
-            try:
-                os.remove(f"{path}.{i}")
-            except OSError as exc:
-                raise StorageError(
-                    f"cannot remove stale shard {path}.{i}: {exc}"
-                ) from exc
-        i += 1
 
 
 class Segment:
@@ -432,8 +253,6 @@ class Segment:
         self.path = path
         self._sections = sections
         self._mm = mm
-        #: mapped file size in bytes (what this handle costs a memory budget)
-        self.nbytes = len(mm)
         self._refs = 1
         self._lock = lockcheck.make_lock("segment.refs")
 
@@ -642,184 +461,3 @@ class Segment:
                     f"segment {self.path!r}: section {name!r} failed its checksum "
                     "(corrupt or truncated payload)"
                 )
-
-
-class ShardedSegment:
-    """Reader over a sharded segment: ``<path>.0 .. <path>.k``.
-
-    Presents the same section API as :class:`Segment`.  Only shard 0 is
-    mapped at open time (it carries the :data:`SHARD_INDEX_SECTION` table);
-    sibling shards map lazily on the first access to a section they own, so
-    touching one component of a large sharded store never pays the
-    monolithic open.  Shares :class:`Segment`'s refcounted lifecycle.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        files: list[str],
-        index: dict[str, int],
-        shard0: Segment,
-        flush_token: str | None,
-    ):
-        self.path = path
-        self._files = files
-        self._index = index  # section name -> shard ordinal
-        self._shards: list[Segment | None] = [shard0] + [None] * (len(files) - 1)
-        #: the write that produced this store; sibling shards must carry the
-        #: same token or they belong to a different (interrupted) flush
-        self._flush_token = flush_token
-        self._refs = 1
-        self._lock = lockcheck.make_lock("sharded_segment.refs")
-
-    @classmethod
-    def open(cls, path: str, verify: bool = False) -> "ShardedSegment":
-        """Map shard 0 of ``path`` and parse its shard index.
-
-        ``verify=True`` opens and checksums *every* shard eagerly (which
-        also catches mixed-flush shard sets via the per-shard token).
-        """
-        shard0 = Segment.open(path + ".0")
-        try:
-            index_obj = shard0.json(SHARD_INDEX_SECTION)
-            files = [
-                os.path.join(os.path.dirname(path) or ".", f)
-                for f in index_obj["files"]
-            ]
-            sections = {str(k): int(v) for k, v in index_obj["sections"].items()}
-            flush_token = None
-            if shard0.has(SHARD_META_SECTION):
-                flush_token = str(shard0.json(SHARD_META_SECTION)["flush"])
-        except (StorageError, KeyError, TypeError, ValueError) as exc:
-            shard0.close()
-            raise StorageError(
-                f"sharded segment {path!r}: corrupt shard index: {exc}"
-            ) from exc
-        seg = cls(path, files, sections, shard0, flush_token)
-        if verify:
-            try:
-                seg.verify()
-            except StorageError:
-                seg.close()
-                raise
-        return seg
-
-    # -- sharing / lifecycle -------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._refs <= 0
-
-    @property
-    def shard_files(self) -> list[str]:
-        return list(self._files)
-
-    def open_shard_count(self) -> int:
-        """How many shard files are actually mapped (laziness probe)."""
-        return sum(1 for s in self._shards if s is not None)
-
-    def mapped_bytes(self) -> int:
-        """Bytes of the shards actually mapped so far — what this handle
-        really costs a memory budget (a lazily-opened store may have most
-        of its shards unmapped)."""
-        return sum(s.nbytes for s in self._shards if s is not None)
-
-    def acquire(self) -> "ShardedSegment":
-        with self._lock:
-            if self._refs <= 0:
-                raise StorageError(f"sharded segment {self.path!r} is closed")
-            self._refs += 1
-        return self
-
-    def close(self) -> None:
-        with self._lock:
-            if self._refs <= 0:
-                return
-            self._refs -= 1
-            if self._refs > 0:
-                return
-            for shard in self._shards:
-                if shard is not None:
-                    shard.close()
-
-    def __enter__(self) -> "ShardedSegment":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- section access ------------------------------------------------------
-
-    def _open_shard_locked(self, ordinal: int) -> Segment:
-        """Map shard ``ordinal`` if needed, validating that it belongs to
-        the same flush as shard 0 — a crash mid-reflush can leave
-        internally-clean shards of two different writes side by side, and
-        mixing them must fail loudly, never read across generations."""
-        shard = self._shards[ordinal]
-        if shard is None:
-            shard = Segment.open(self._files[ordinal])
-            try:
-                meta = (
-                    shard.json(SHARD_META_SECTION)
-                    if shard.has(SHARD_META_SECTION)
-                    else {}
-                )
-                if meta.get("flush") != self._flush_token or (
-                    int(meta.get("ordinal", -1)) != ordinal
-                ):
-                    raise StorageError(
-                        f"sharded segment {self.path!r}: shard {ordinal} "
-                        "belongs to a different flush than shard 0 "
-                        "(interrupted re-flush?); refusing to mix shard "
-                        "generations"
-                    )
-            except StorageError:
-                shard.close()
-                raise
-            self._shards[ordinal] = shard
-        return shard
-
-    def _shard_for(self, name: str) -> Segment:
-        with self._lock:
-            if self._refs <= 0:
-                raise StorageError(f"sharded segment {self.path!r} is closed")
-            ordinal = self._index.get(name)
-            if ordinal is None:
-                raise StorageError(
-                    f"sharded segment {self.path!r} has no section {name!r}"
-                )
-            return self._open_shard_locked(ordinal)
-
-    def has(self, name: str) -> bool:
-        return name in self._index
-
-    def names(self) -> list[str]:
-        return list(self._index)
-
-    def array(self, name: str) -> np.ndarray:
-        return self._shard_for(name).array(name)
-
-    def view(self, name: str):
-        return self._shard_for(name).view(name)
-
-    def read_bytes(self, name: str) -> bytes:
-        return self._shard_for(name).read_bytes(name)
-
-    def json(self, name: str):
-        return self._shard_for(name).json(name)
-
-    # -- integrity -----------------------------------------------------------
-
-    def verify(self, names: list[str] | None = None) -> None:
-        """Checksum sections; with no names, every shard is opened and
-        verified in full (including sections of shards not yet mapped)."""
-        if names is not None:
-            for name in names:
-                self._shard_for(name).verify([name])
-            return
-        for ordinal in range(len(self._files)):
-            with self._lock:
-                if self._refs <= 0:
-                    raise StorageError(f"sharded segment {self.path!r} is closed")
-                shard = self._open_shard_locked(ordinal)
-            shard.verify()

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from repro.arrays.versions import VersionStore
 from repro.core.catalog import MANIFEST_NAME, StoreCatalog
 from repro.errors import StorageError, WorkflowError
-from repro.storage.segment import generation_files, generation_path, open_segment, segment_files
+from repro.storage.segment import Segment, generation_files
 from repro.storage.wal import WriteAheadLog
 from repro.workflow.instance import NodeExecution, WorkflowInstance
 from repro.workflow.spec import WorkflowSpec
@@ -84,11 +84,11 @@ def recover_lineage(
 
     Every segment the manifest records — one per store *generation* — is
     opened and checksum-verified section by section.  A segment that fails
-    — truncated, bit-flipped, structurally invalid, or with files missing
-    outright (a partially deleted store directory surfaces the same way,
-    never as a raw ``FileNotFoundError``) — is *quarantined*: whatever
-    files remain are renamed with :data:`QUARANTINE_SUFFIX`, that
-    generation is dropped from the catalog, and the failure is reported as
+    — truncated, bit-flipped, structurally invalid, or missing outright
+    (a partially deleted store directory surfaces the same way, never as a
+    raw ``FileNotFoundError``) — is *quarantined*: the file, if present, is
+    renamed with :data:`QUARANTINE_SUFFIX`, that generation is dropped
+    from the catalog, and the failure is reported as
     a :class:`~repro.errors.StorageError` in the result (or raised
     immediately when ``strict=True``).  A torn generation never takes the
     generations under it down: the rest of the key keeps serving, so an
@@ -166,14 +166,12 @@ def _verify_catalog(
     for entry in catalog.entries():
         path = os.path.join(directory, entry.file)
         try:
-            # open_segment resolves both monolithic segments and sharded
-            # ``.seg.0..k`` stores; verify=True checksums every shard.  The
-            # mapping is closed before any rename: Windows cannot rename a
-            # mapped file, so quarantine must not depend on GC timing.
-            # FileNotFoundError (and every other OSError) is caught here so
-            # a half-deleted store quarantines exactly like a corrupt one.
-            seg = open_segment(path, verify=True)
-            seg.close()
+            # verify=True checksums every section.  The mapping is closed
+            # before any rename: Windows cannot rename a mapped file, so
+            # quarantine must not depend on GC timing.  FileNotFoundError
+            # (and every other OSError) is caught here so a half-deleted
+            # store quarantines exactly like a corrupt one.
+            Segment.open(path, verify=True).close()
         except (StorageError, OSError) as exc:
             generation = f", generation {entry.gen}" if entry.gen else ""
             error = StorageError(
@@ -183,10 +181,8 @@ def _verify_catalog(
             )
             if strict:
                 raise error from exc
-            for fname in entry.files:  # every shard of a sharded store
-                fpath = os.path.join(directory, fname)
-                if os.path.exists(fpath):
-                    os.replace(fpath, fpath + QUARANTINE_SUFFIX)
+            if os.path.exists(path):
+                os.replace(path, path + QUARANTINE_SUFFIX)
             catalog.drop_generation(entry.node, entry.strategy, entry.gen)
             quarantined.append((prefix + entry.file, error))
     removed_stale = [
@@ -210,24 +206,21 @@ def _remove_stale_generations(directory: str, catalog: StoreCatalog) -> list[str
     """
     from repro.core.catalog import store_filename
 
-    referenced = {f for entry in catalog.entries() for f in entry.files}
+    referenced = {entry.file for entry in catalog.entries()}
     removed: list[str] = []
     for node, strategy in catalog.keys():
         # derive the base path from the key, not from a gen-0 entry: a key
         # whose base generation was itself quarantined must still have its
         # unreferenced delta residue swept
         base_path = os.path.join(directory, store_filename(node, strategy))
-        for gen, files in sorted(generation_files(base_path).items()):
-            if gen == 0:
+        for gen, fpath in sorted(generation_files(base_path).items()):
+            if gen == 0 or os.path.basename(fpath) in referenced:
                 continue
-            if any(os.path.basename(f) in referenced for f in files):
+            try:
+                os.remove(fpath)
+            except OSError:
                 continue
-            for fpath in segment_files(generation_path(base_path, gen)):
-                try:
-                    os.remove(fpath)
-                except OSError:
-                    continue
-                removed.append(os.path.basename(fpath))
+            removed.append(os.path.basename(fpath))
     return removed
 
 

@@ -20,9 +20,8 @@ Five layers under test:
   serving the old generation set (and no tmp residue); a crash *after* the
   atomic manifest swap leaves stale delta files that recovery sweeps; a
   torn or missing generation is quarantined alone (older generations keep
-  serving); a store directory with files deleted outright — a missing
-  shard, a missing monolith — quarantines with a clear ``StorageError``,
-  never a raw ``FileNotFoundError``.
+  serving); a store directory with a segment deleted outright quarantines
+  with a clear ``StorageError``, never a raw ``FileNotFoundError``.
 * **facade + cost model** — ``flush_lineage(append=True)`` /
   ``compact_lineage`` / ``compaction_advice`` round-trip through
   ``SubZero``, and the cost model prices the overlay read amplification so
@@ -56,12 +55,7 @@ from repro.core.query import QueryRequest
 from repro.core.runtime import LineageRuntime
 from repro.core.stats import StatsCollector
 from repro.errors import StorageError
-from repro.storage.segment import (
-    SegmentWriter,
-    generation_files,
-    generation_path,
-    segment_files,
-)
+from repro.storage.segment import SegmentWriter, generation_files, generation_path
 from repro.workflow.recovery import QUARANTINE_SUFFIX, recover_lineage
 from tests.conftest import build_spot_spec
 from tests.test_segments import ALL_FULL, SHAPE, _answers, sinks
@@ -413,40 +407,6 @@ class TestCompaction:
         assert not any((tmp_path / f).exists() for f in gen_files)
         catalog.close()
 
-    def test_compacting_sharded_base_keeps_pinned_lazy_reader_alive(self, tmp_path):
-        """A pinned reader of a *sharded* base may not have mapped every
-        shard yet; compacting to a monolith must leave those shard files on
-        disk until the pin drops — and the interim manifest keeps
-        referencing them, so a crash in between quarantines nothing."""
-        key = ("n", FULL_MANY_B)
-        store = _store_from(_sink(0, n=60), FULL_MANY_B)
-        catalog, _ = StoreCatalog.write(
-            str(tmp_path), {key: store}, shard_threshold_bytes=512
-        )
-        entry = catalog.entry("n", FULL_MANY_B)
-        catalog.close()
-        assert len(entry.shards) >= 3, "base did not shard; lower the threshold"
-        catalog, _ = StoreCatalog.append(
-            str(tmp_path), {key: _store_from(_sink(1), FULL_MANY_B)}
-        )
-        combined = _store_from(_sink(0, n=60), FULL_MANY_B)
-        combined.ingest(_sink(1))
-        baseline = _answers(combined, FULL_MANY_B, QUERY)
-
-        record = catalog.borrow("n", FULL_MANY_B)  # maps shard 0 only
-        report = catalog.compact()  # merged base is monolithic
-        assert report.compacted
-        # every old shard file survives under the pin...
-        assert all((tmp_path / shard).exists() for shard in entry.shards)
-        # ...so the pinned reader's first (lazy, shard-mapping) scan works
-        assert _answers(record.store, FULL_MANY_B, QUERY) == baseline
-        catalog.release(record)
-        # last pin dropped: the superseded shard files are reclaimed
-        assert not any((tmp_path / shard).exists() for shard in entry.shards)
-        fresh = catalog.open_store("n", FULL_MANY_B)
-        assert _answers(fresh, FULL_MANY_B, QUERY) == baseline
-        catalog.close()
-
     def test_serve_while_compacting_threads(self, tmp_path):
         """Readers hammer the key while the main thread appends and
         compacts in a loop; every answer must equal the (stable) union."""
@@ -607,32 +567,6 @@ class TestCrashRecovery:
         assert recovery.catalog.generation_count("n", FULL_MANY_B) == 1
         recovery.catalog.close()
 
-    def test_missing_shard_quarantined_with_storage_error(self, tmp_path):
-        """A store directory partially deleted (one shard gone, the rest
-        healthy) quarantines the store with a StorageError — and the
-        surviving shards are renamed aside, not abandoned."""
-        key = ("n", FULL_MANY_B)
-        store = _store_from(_sink(0, n=60), FULL_MANY_B)
-        catalog, _ = StoreCatalog.write(str(tmp_path), {key: store}, shard_threshold_bytes=512)
-        entry = catalog.entry("n", FULL_MANY_B)
-        catalog.close()
-        assert len(entry.shards) >= 3, "store did not shard; lower the threshold"
-        victim = tmp_path / entry.shards[2]
-        os.remove(victim)
-
-        with pytest.raises(StorageError):
-            recover_lineage(str(tmp_path), strict=True)
-
-        recovery = recover_lineage(str(tmp_path))  # must not raise
-        assert len(recovery.quarantined) == 1
-        assert isinstance(recovery.quarantined[0][1], StorageError)
-        assert len(recovery.catalog) == 0
-        for shard in entry.shards:
-            path = tmp_path / shard
-            assert not path.exists()
-            if shard != entry.shards[2]:
-                assert (tmp_path / (shard + QUARANTINE_SUFFIX)).exists()
-
     def test_missing_monolithic_segment_quarantined(self, tmp_path):
         key = ("n", FULL_ONE_B)
         catalog, _ = StoreCatalog.write(str(tmp_path), {key: _store_from(_sink(0), FULL_ONE_B)})
@@ -681,7 +615,7 @@ class TestCrashRecovery:
         _store_from(_sink(1), FULL_MANY_B).flush_segment(generation_path(base, 2))
         on_disk = generation_files(base)
         assert sorted(on_disk) == [0, 2]
-        assert segment_files(generation_path(base, 2)) == on_disk[2]
+        assert on_disk[2] == generation_path(base, 2)
 
 
 # -- facade + cost model -------------------------------------------------------

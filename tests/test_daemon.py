@@ -18,10 +18,14 @@ Five layers under test:
   store survives), and the ghost queue re-admits a recently evicted key
   straight to the protected tier.
 * **request surface** — a Hypothesis property: request -> dict -> JSON ->
-  request round-trips exactly and executes identically; the deprecated
-  ``**overrides`` kwargs warn and map onto request fields.
+  request round-trips exactly and executes identically; a second one feeds
+  ``QueryRequest.from_dict`` arbitrary JSON and accepts only a request or a
+  ``QueryError``; malformed bodies and ``Content-Length`` headers get a 400
+  envelope and the daemon keeps serving; the deprecated ``**overrides``
+  kwargs warn and map onto request fields.
 """
 
+import http.client
 import json
 import socket
 import threading
@@ -29,7 +33,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -212,6 +216,55 @@ class TestDaemonEquivalence:
                 # a well-formed request over an unknown node: engine-level 400
                 with pytest.raises(QueryError):
                     client.query(QueryRequest.backward([(1, 1)], ["nonesuch"]))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # a cell beyond int64 (used to escape as a raw OverflowError)
+            {"direction": "backward", "cells": [[2**70, 2]], "path": [["s1", 0]]},
+            # a non-string endpoint (used to die as an unhashable TypeError)
+            {"direction": "backward", "cells": [[1, 2]], "start": ["x"], "end": "img"},
+        ],
+        ids=["cell-beyond-int64", "non-string-start"],
+    )
+    def test_invalid_request_values_get_400_and_daemon_keeps_serving(
+        self, flushed, body
+    ):
+        with _resume_engine(flushed) as sz:
+            with QueryDaemon(sz, port=0) as daemon:
+                client = DaemonClient(*daemon.address)
+                client.wait_ready()
+                status, reply = client._call("POST", "/v1/query", json.dumps(body).encode())
+                assert status == 400 and reply["error"]["type"] == "QueryError"
+                request = flushed["requests"][0]
+                assert canonical_result(client.query(request)) == flushed["baseline"][0]
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_gets_400_and_daemon_keeps_serving(
+        self, flushed, length
+    ):
+        """An unparseable or negative Content-Length is a 400 ProtocolError
+        on a closed connection — not a dropped socket, and never a read
+        that waits for the client to hang up."""
+        with _resume_engine(flushed) as sz:
+            with QueryDaemon(sz, port=0) as daemon:
+                host, port = daemon.address
+                client = DaemonClient(host, port)
+                client.wait_ready()
+                conn = http.client.HTTPConnection(host, port, timeout=10)
+                try:
+                    conn.putrequest("POST", "/v1/query")
+                    conn.putheader("Content-Length", length)
+                    conn.endheaders(b"{}")
+                    response = conn.getresponse()
+                    reply = json.loads(response.read())
+                    assert response.status == 400
+                    assert reply["error"]["type"] == "ProtocolError"
+                    assert response.getheader("Connection") == "close"
+                finally:
+                    conn.close()
+                request = flushed["requests"][0]
+                assert canonical_result(client.query(request)) == flushed["baseline"][0]
 
 
 # -- backpressure --------------------------------------------------------------
@@ -491,6 +544,39 @@ _ROUTES = st.sampled_from(
 _FLAG = st.sampled_from([None, True, False])
 
 
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+)
+#: arbitrary JSON values (floats include the inf/nan that ``json`` parses)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+_VALID_WIRE = [r.to_dict() for r in _requests(np.random.default_rng(5))]
+_REQUEST_KEYS = st.sampled_from(
+    ["v", "direction", "cells", "path", "start", "end", "entire_array", "query_opt"]
+)
+
+
+@st.composite
+def _mutated_requests(draw) -> dict:
+    """A valid request dict with up to three fields replaced by arbitrary
+    JSON values (cell-shaped ones included) and maybe one field dropped —
+    reaches the field validators that a random top-level value cannot."""
+    obj = dict(draw(st.sampled_from(_VALID_WIRE)))
+    cell_like = st.lists(st.lists(_JSON_VALUES, max_size=3), max_size=3)
+    for key in draw(st.lists(_REQUEST_KEYS, max_size=3)):
+        obj[key] = draw(_JSON_VALUES | cell_like)
+    for key in draw(st.lists(_REQUEST_KEYS, max_size=1)):
+        obj.pop(key, None)
+    return obj
+
+
+_MUTATED_REQUESTS = _mutated_requests()
+
+
 @pytest.mark.timeout(300)
 class TestRequestRoundTrip:
     @settings(max_examples=25, deadline=None)
@@ -548,6 +634,30 @@ class TestRequestRoundTrip:
             QueryRequest.from_dict({"v": 99, "direction": "backward", "cells": [[1]]})
         with pytest.raises(QueryError):
             QueryRequest.from_dict([1, 2])  # not an object
+        with pytest.raises(QueryError):
+            QueryRequest.backward([(1, 1)], start=["x"], end="img")  # not a str
+        with pytest.raises(QueryError):
+            QueryRequest.backward([(2**70, 1)], ["s1"])  # beyond int64
+
+    @settings(max_examples=150, deadline=None)
+    @given(obj=_JSON_VALUES | _MUTATED_REQUESTS)
+    # every failure this property found, pinned
+    @example(obj={"direction": "backward", "cells": [[2**70, 2]], "path": [["s1", 0]]})
+    @example(obj={"direction": "backward", "cells": [[-(2**64), 2]], "path": [["s1", 0]]})
+    @example(obj={"direction": "forward", "cells": [[float("inf"), 1]], "path": [["s1", 0]]})
+    @example(obj={"direction": "backward", "cells": [[1, 2]], "start": ["x"], "end": "img"})
+    @example(obj={"direction": "forward", "cells": [[1, 2]], "start": "img", "end": 7})
+    def test_from_dict_returns_request_or_raises_query_error(self, obj):
+        """Any JSON value: a request comes back, or a typed QueryError —
+        never a raw Python exception the daemon would drop the connection
+        over."""
+        try:
+            request = QueryRequest.from_dict(obj)
+        except QueryError:
+            return
+        assert isinstance(request, QueryRequest)
+        assert request.start is None or isinstance(request.start, str)
+        assert request.end is None or isinstance(request.end, str)
 
     def test_canonical_result_strips_diagnostics_only(self, flushed):
         with _resume_engine(flushed) as sz:

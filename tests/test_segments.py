@@ -16,6 +16,7 @@ Four layers under test:
   BatchProbe lowering walk ticks per codec-tag batch, not per entry.
 """
 
+import json
 import os
 
 import numpy as np
@@ -469,6 +470,43 @@ class TestPreSegmentLayoutRefused:
                 StorageError, match="pre-segment layout, re-flush required"
             ):
                 load(path)
+
+
+class TestShardedLayoutRefused:
+    def _sharded_catalog(self, tmp_path, rng) -> str:
+        """A flushed catalog rewritten into the retired sharded layout: each
+        segment renamed to ``<file>.0`` and its manifest entry carrying
+        ``shards``, as a byte-threshold flush used to write it."""
+        _flushed_runtime(tmp_path, rng)
+        manifest_path = tmp_path / "catalog.json"
+        manifest = json.loads(manifest_path.read_text())
+        for obj in manifest["stores"]:
+            os.replace(tmp_path / obj["file"], tmp_path / (obj["file"] + ".0"))
+            obj["shards"] = [obj["file"] + ".0"]
+        manifest_path.write_text(json.dumps(manifest))
+        return str(tmp_path)
+
+    def test_sharded_catalog_is_refused_everywhere(self, tmp_path, rng):
+        """Refused with a typed error naming the cure — never opened as a
+        catalog whose stores then serve as empty lineage."""
+        directory = self._sharded_catalog(tmp_path, rng)
+        refused = "sharded layout, re-flush required"
+        with pytest.raises(StorageError, match=refused):
+            StoreCatalog.open(directory)
+        sz = SubZero(build_spot_spec())
+        with pytest.raises(StorageError, match=refused):
+            sz.load_lineage(directory)
+        assert sz.runtime.catalog is None
+        with pytest.raises(StorageError, match=refused):
+            recover_lineage(directory)
+
+    def test_segment_open_on_lone_shard_file_raises_storage_error(self, tmp_path):
+        path = str(tmp_path / "x.seg")
+        writer = SegmentWriter()
+        writer.add_bytes("s0", b"payload")
+        writer.write(path + ".0")
+        with pytest.raises(StorageError, match="cannot open segment"):
+            Segment.open(path)
 
 
 # -- batch convergence riders -------------------------------------------------

@@ -1,6 +1,6 @@
-"""The concurrent serving core: sessions, pinning, LRU eviction, shards.
+"""The concurrent serving core: sessions, pinning, LRU eviction.
 
-Five layers under test:
+Four layers under test:
 
 * **threaded stress** — N threads x M mixed backward/forward queries
   against one catalog with a tiny ``memory_budget_bytes``, asserting the
@@ -11,10 +11,6 @@ Five layers under test:
 * **pin/evict semantics** — a store borrowed (pinned) survives being chosen
   by the LRU; its mapping closes exactly when the last pin drops; a closed
   segment handle refuses section access.
-* **sharded segments** — a Hypothesis property asserts a store flushed with
-  a tiny shard threshold answers byte-identically to the monolithic flush,
-  shards are recorded in the catalog manifest, sibling shards map lazily,
-  and recovery quarantines *every* file of a corrupt sharded store.
 * **atomic manifest** — a crash mid-``save_manifest`` leaves the previous
   ``catalog.json`` intact (tmp + rename), not a truncated brick.
 * **lifecycle** — Segment refcounting, catalog/SubZero close() and context
@@ -29,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from repro import (
     FULL_MANY_B,
@@ -43,18 +38,10 @@ from repro import (
 from repro.arrays.versions import VersionStore
 from repro.core.catalog import StoreCatalog
 from repro.core.lineage_store import make_store
-from repro.core.runtime import LineageRuntime
 from repro.errors import StorageError
-from repro.storage.segment import (
-    Segment,
-    SegmentWriter,
-    ShardedSegment,
-    open_segment,
-    segment_files,
-)
-from repro.workflow.recovery import recover_lineage
+from repro.storage.segment import Segment, SegmentWriter
 from tests.conftest import SpotUDF
-from tests.test_segments import ALL_FULL, SHAPE, _answers, sinks
+from tests.test_segments import SHAPE
 
 JOIN_TIMEOUT = 120  # seconds before a hung worker counts as a deadlock
 
@@ -313,169 +300,6 @@ class TestPinningAndEviction:
                 churner.join(timeout=JOIN_TIMEOUT)
             assert not churner.is_alive()
             assert sz.runtime.serving_stats()["evictions"] > 0
-
-
-# -- sharded segments ----------------------------------------------------------
-
-
-class TestShardedSegments:
-    @pytest.mark.parametrize("strategy", ALL_FULL, ids=lambda s: s.label)
-    @given(case=sinks())
-    @settings(max_examples=15, deadline=None)
-    def test_sharded_flush_answers_identically(self, strategy, case, tmp_path_factory):
-        """Hypothesis equivalence: shard/LRU round-trips preserve exact
-        query answers vs. the monolithic path."""
-        sink, query = case
-        store = make_store("n", strategy, SHAPE, (SHAPE,))
-        store.ingest(sink)
-        before = _answers(store, strategy, query)
-
-        base = tmp_path_factory.mktemp("shards")
-        mono_path = str(base / "mono.seg")
-        shard_path = str(base / "sharded.seg")
-        store.flush_segment(mono_path)
-        store.flush_segment(shard_path, shard_threshold_bytes=64)
-
-        mono = make_store("n", strategy, SHAPE, (SHAPE,))
-        mono.load_segment(mono_path)
-        sharded = make_store("n", strategy, SHAPE, (SHAPE,))
-        sharded.load_segment(shard_path)
-        assert sharded.lowered_ready()
-        assert _answers(mono, strategy, query) == before
-        assert _answers(sharded, strategy, query) == before
-        mono.close()
-        sharded.close()
-
-    def test_sharded_write_layout_and_lazy_shard_open(self, tmp_path):
-        store = make_store("n", FULL_MANY_B, SHAPE, (SHAPE,))
-        from repro.core.model import BufferSink, ElementwiseBatch
-
-        sink = BufferSink()
-        rng = np.random.default_rng(2)
-        cells = rng.integers(0, 9, size=(200, 2))
-        sink.add_elementwise(
-            ElementwiseBatch(outcells=cells, incells=(cells[::-1].copy(),))
-        )
-        store.ingest(sink)
-        path = str(tmp_path / "store.seg")
-        store.flush_segment(path, shard_threshold_bytes=512)
-        files = segment_files(path)
-        assert len(files) > 1  # genuinely sharded
-        assert not os.path.exists(path)  # no stale monolith
-        assert files == [f"{path}.{i}" for i in range(len(files))]
-
-        seg = open_segment(path)
-        assert isinstance(seg, ShardedSegment)
-        opened_at_start = seg.open_shard_count()
-        assert opened_at_start < len(files)  # shard 0 + nothing else yet
-        clone = make_store("n", FULL_MANY_B, SHAPE, (SHAPE,))
-        clone.load_segment(seg)
-        after_load = seg.open_shard_count()
-        # the shard(s) holding the lowered probe tables stay unmapped until
-        # a mismatched scan asks for them
-        q = np.sort(np.unique(rng.integers(0, 99, size=16)))
-        clone.scan_forward_full(q, 0)
-        assert seg.open_shard_count() >= after_load
-        expect = store.scan_forward_full(q, 0)
-        got = clone.scan_forward_full(q, 0)
-        assert got.tolist() == expect.tolist()
-        clone.close()
-
-    def test_mixed_shard_generations_refused(self, tmp_path):
-        """A crash mid-reflush can leave internally-clean shards from two
-        different writes; reading across them must fail loudly (and under
-        recovery, quarantine), never silently mix generations."""
-        def write_sharded(tag: bytes) -> list[str]:
-            writer = SegmentWriter()
-            for i in range(4):
-                writer.add_bytes(f"s{i}", tag * 200)
-            _, files = writer.write_sharded(str(tmp_path / "x.seg"), 300)
-            assert len(files) >= 2
-            return files
-
-        files_old = write_sharded(b"A")
-        import shutil
-
-        kept_old = str(tmp_path / "old.shard")
-        shutil.copy(files_old[1], kept_old)  # a shard of flush generation 1
-        write_sharded(b"B")  # generation 2 replaces all shards...
-        shutil.copy(kept_old, files_old[1])  # ...but the crash kept an old one
-
-        seg = open_segment(str(tmp_path / "x.seg"))
-        with pytest.raises(StorageError, match="different flush"):
-            seg.view("s1")  # s1 lives in the stale shard
-        seg.close()
-        with pytest.raises(StorageError, match="different flush"):
-            open_segment(str(tmp_path / "x.seg"), verify=True)
-
-    def test_reflush_monolith_removes_stale_shards(self, tmp_path):
-        writer = SegmentWriter()
-        for i in range(6):
-            writer.add_bytes(f"s{i}", bytes(100))
-        path = str(tmp_path / "x.seg")
-        total, files = writer.write_sharded(path, 150)
-        assert len(files) > 1 and total > 0
-        # re-flush the same logical segment as a monolith
-        writer2 = SegmentWriter()
-        writer2.add_bytes("s0", bytes(10))
-        writer2.write(path)
-        assert segment_files(path) == [path]
-        assert not os.path.exists(path + ".0")
-
-    def test_catalog_records_and_reopens_shards(self, flushed_workflow, tmp_path):
-        with _resume_engine(flushed_workflow) as sz:
-            written = sz.runtime.flush_all(str(tmp_path), shard_threshold_bytes=512)
-            assert written > 0
-        catalog = StoreCatalog.open(str(tmp_path))
-        sharded_entries = [e for e in catalog.entries() if e.shards]
-        assert sharded_entries, "no store crossed the shard threshold"
-        for entry in sharded_entries:
-            assert [os.path.basename(p) for p in segment_files(
-                os.path.join(str(tmp_path), entry.file)
-            )] == list(entry.shards)
-        # the sharded catalog serves the same answers as the original dir
-        sz_mono = SubZero(_serving_spec(), enable_query_opt=False)
-        sz_mono.resume(
-            flushed_workflow["versions"],
-            wal=flushed_workflow["wal"],
-            lineage_dir=flushed_workflow["dir"],
-        )
-        sz_shard = SubZero(_serving_spec(), enable_query_opt=False)
-        sz_shard.resume(
-            flushed_workflow["versions"], wal=flushed_workflow["wal"],
-            lineage_dir=str(tmp_path),
-        )
-        for job in flushed_workflow["jobs"]:
-            assert _coords_set(_run_job(sz_shard, job)) == _coords_set(
-                _run_job(sz_mono, job)
-            )
-        sz_mono.close()
-        sz_shard.close()
-
-    def test_recovery_quarantines_every_shard_of_a_corrupt_store(
-        self, flushed_workflow, tmp_path
-    ):
-        with _resume_engine(flushed_workflow) as sz:
-            sz.runtime.flush_all(str(tmp_path), shard_threshold_bytes=512)
-        catalog = StoreCatalog.open(str(tmp_path))
-        entry = next(e for e in catalog.entries() if e.shards)
-        victim = os.path.join(str(tmp_path), entry.shards[-1])
-        with open(victim, "rb") as fh:
-            raw = bytearray(fh.read())
-        raw[-10] ^= 0xFF
-        with open(victim, "wb") as fh:
-            fh.write(bytes(raw))
-
-        report = recover_lineage(str(tmp_path))
-        assert not report.ok
-        assert any(fname == entry.file for fname, _ in report.quarantined)
-        for shard in entry.shards:
-            spath = os.path.join(str(tmp_path), shard)
-            assert not os.path.exists(spath)
-            assert os.path.exists(spath + ".quarantined")
-        # the survivors still serve after a plain reopen
-        fresh = LineageRuntime()
-        assert fresh.load_all(str(tmp_path)) == len(catalog) - 1
 
 
 # -- atomic manifest -----------------------------------------------------------
