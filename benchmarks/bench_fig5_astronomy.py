@@ -14,9 +14,11 @@ baselines while Full* pay order-of-magnitude storage and runtime; SubZero
 answers queries fastest, BlackBox slowest; FQ0 vastly beats FQ0Slow.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro import COMP_ONE_B, QueryRequest, SubZero
+from repro import COMP_ONE_B, SubZero
 from repro.bench.astronomy import UDF_NODES, AstronomyBenchmark
 from repro.bench.harness import ASTRONOMY_CONFIGS, astronomy_table, run_astronomy
 
@@ -77,7 +79,7 @@ def test_fig5a_runtime_overhead(benchmark, bench_data, label):
 def test_fig5b_subzero_queries(benchmark, subzero_live, query):
     sz, queries = subzero_live
     result = benchmark.pedantic(
-        lambda: sz.execute_query(queries[query]), rounds=3, iterations=1
+        lambda: sz.query(queries[query]), rounds=3, iterations=1
     )
     assert result.count > 0
 
@@ -86,7 +88,7 @@ def test_fig5b_subzero_queries(benchmark, subzero_live, query):
 def test_fig5b_fq0_slow(benchmark, subzero_live):
     """FQ0 without the entire-array optimization (the 83x ablation)."""
     sz, queries = subzero_live
-    slow_fq0 = QueryRequest.from_query(queries["FQ0"], entire_array=False)
+    slow_fq0 = replace(queries["FQ0"], entire_array=False)
     result = benchmark.pedantic(
         lambda: sz.query(slow_fq0),
         rounds=1,

@@ -81,7 +81,7 @@ def payboth_live():
 def test_fig6b_live_queries(benchmark, blackbox_live, payboth_live, engine, query):
     sz, queries = blackbox_live if engine == "BlackBox" else payboth_live
     result = benchmark.pedantic(
-        lambda: sz.execute_query(queries[query]), rounds=1, iterations=1
+        lambda: sz.query(queries[query]), rounds=1, iterations=1
     )
     assert result.count > 0
 

@@ -51,7 +51,7 @@ def loose_budget_live():
 def test_fig7_loose_budget_queries(benchmark, loose_budget_live, query):
     sz, queries = loose_budget_live
     result = benchmark.pedantic(
-        lambda: sz.execute_query(queries[query]), rounds=3, iterations=1
+        lambda: sz.query(queries[query]), rounds=3, iterations=1
     )
     assert result.count > 0
 

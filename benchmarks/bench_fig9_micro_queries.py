@@ -67,7 +67,7 @@ def live_engines():
 def test_fig9_backward_query_cost(benchmark, live_engines, strategy):
     sz, query = live_engines[strategy]
     result = benchmark.pedantic(
-        lambda: sz.execute_query(query), rounds=3, iterations=1
+        lambda: sz.query(query), rounds=3, iterations=1
     )
     assert result.count > 0
 

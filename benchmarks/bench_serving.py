@@ -44,7 +44,6 @@ from repro import (
 from repro.arrays.versions import VersionStore
 from repro.bench.report import ResultTable, write_bench_json
 from repro.core.catalog import StoreCatalog
-from repro.core.model import Direction, LineageQuery, QueryStep
 from repro.errors import QueueFullError
 from repro.serving import DaemonClient, QueryDaemon, ServingLimits, canonical_result
 
@@ -75,26 +74,20 @@ def _spec() -> WorkflowSpec:
     return spec
 
 
-def _queries(rng) -> list[LineageQuery]:
+def _queries(rng) -> list[QueryRequest]:
     paths = [
-        (Direction.BACKWARD, ["s1"]),
-        (Direction.BACKWARD, ["s2", "s1"]),
-        (Direction.FORWARD, ["s1", "s2"]),
-        (Direction.BACKWARD, ["s3", "s2"]),
-        (Direction.FORWARD, ["s2"]),
-        (Direction.FORWARD, ["s3"]),
+        (QueryRequest.backward, ["s1"]),
+        (QueryRequest.backward, ["s2", "s1"]),
+        (QueryRequest.forward, ["s1", "s2"]),
+        (QueryRequest.backward, ["s3", "s2"]),
+        (QueryRequest.forward, ["s2"]),
+        (QueryRequest.forward, ["s3"]),
     ]
     queries = []
     for i in range(N_QUERIES):
-        direction, path = paths[i % len(paths)]
+        ctor, path = paths[i % len(paths)]
         cells = rng.integers(0, min(SHAPE), size=(CELLS_PER_QUERY, 2))
-        queries.append(
-            LineageQuery(
-                cells=cells,
-                path=tuple(QueryStep(n, 0) for n in path),
-                direction=direction,
-            )
-        )
+        queries.append(ctor(cells, path))
     return queries
 
 
@@ -269,7 +262,7 @@ def test_daemon_qps_latency_and_backpressure(benchmark, serving_workload):
     workload over HTTP (QPS + p50/p99 latency, every answer checked against
     the in-process baseline), then 32 one-shot clients flood a one-slot
     gate and the daemon must shed the excess with 429 — never buffer it."""
-    requests = [QueryRequest.from_query(q) for q in serving_workload["queries"]]
+    requests = serving_workload["queries"]
     baseline = serving_workload["baseline"]
 
     latencies: list[float] = []

@@ -42,7 +42,7 @@ def main() -> None:
         total = 0.0
         for query in queries.values():
             start = time.perf_counter()
-            sz.execute_query(query)
+            sz.query(query)
             total += time.perf_counter() - start
         print(f"  measured: disk={sz.lineage_disk_bytes() / 1e6:.2f} MB, "
               f"4-query workload {total * 1e3:.1f} ms")

@@ -39,7 +39,6 @@ from repro.core import (
     EncodingKind,
     Frontier,
     LineageMode,
-    LineageQuery,
     Orientation,
     QueryStep,
     RegionPair,
@@ -100,7 +99,6 @@ __all__ = [
     # lineage model
     "RegionPair",
     "Frontier",
-    "LineageQuery",
     "QueryStep",
     "Direction",
     "LineageMode",

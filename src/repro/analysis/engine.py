@@ -155,12 +155,6 @@ class ModuleContext:
                 return anc
         return None
 
-    def enclosing_class(self, node: ast.AST) -> ast.ClassDef | None:
-        for anc in self.ancestors(node):
-            if isinstance(anc, ast.ClassDef):
-                return anc
-        return None
-
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         return Finding(
             rule=rule,

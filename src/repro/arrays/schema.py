@@ -162,14 +162,6 @@ class ArraySchema:
     def with_name(self, name: str) -> "ArraySchema":
         return ArraySchema(dims=self.dims, attrs=self.attrs, name=name)
 
-    def with_dtype(self, dtype) -> "ArraySchema":
-        attrs = tuple(Attribute(a.name, np.dtype(dtype)) for a in self.attrs)
-        return ArraySchema(dims=self.dims, attrs=attrs, name=self.name)
-
-    def compatible_with(self, other: "ArraySchema") -> bool:
-        """True when shapes match (attribute types may differ)."""
-        return self.shape == other.shape
-
     def require_same_shape(self, other: "ArraySchema", context: str = "operator") -> None:
         if self.shape != other.shape:
             raise SchemaError(

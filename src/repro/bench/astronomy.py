@@ -21,8 +21,8 @@ from scipy import ndimage
 
 from repro.arrays import coords as C
 from repro.arrays.array import SciArray
-from repro.core.model import Direction, LineageQuery
 from repro.core.modes import LineageMode
+from repro.core.query import QueryRequest
 from repro.ops import (
     BroadcastSubtract,
     ClipMin,
@@ -36,7 +36,7 @@ from repro.ops import (
 )
 from repro.ops.base import Operator
 from repro.ops.convolution import dilate_coords
-from repro.storage import serialize as ser
+from repro.storage import codecs
 from repro.workflow.spec import WorkflowSpec
 
 __all__ = [
@@ -425,7 +425,7 @@ class StarDetect(Operator):
             corners = C.pack_coords(np.stack([lo, hi]), self.output_shape)
             return bytes([self._TAG_BOX]) + corners.astype("<i8").tobytes()
         packed = np.sort(C.pack_coords(cells, self.output_shape))
-        return bytes([self._TAG_CELLS]) + ser.encode_int_array(packed)
+        return bytes([self._TAG_CELLS]) + codecs.encode_cells(packed)
 
     def map_b_many(self, out_coords, input_idx):
         return C.as_coord_array(out_coords, ndim=2)
@@ -444,7 +444,7 @@ class StarDetect(Operator):
                 indexing="ij",
             )
             return np.stack([g.ravel() for g in grids], axis=1)
-        packed, _ = ser.decode_int_array(payload, 1)
+        packed, _ = codecs.decode_cells(payload, 1)
         return C.unpack_coords(packed, self.input_shapes[0])
 
     def runtime_cost_hint(self) -> float:
@@ -538,7 +538,7 @@ class AstronomyBenchmark:
 
     # -- query construction (needs an executed instance to pick real cells) --
 
-    def queries(self, instance) -> dict[str, LineageQuery]:
+    def queries(self, instance) -> dict[str, QueryRequest]:
         """BQ0-BQ4 and FQ0, anchored to actual stars/regions in this run."""
         labels = instance.output_array("star_detect").values().astype(np.int64)
         star_ids, counts = np.unique(labels[labels > 0], return_counts=True)
@@ -551,9 +551,9 @@ class AstronomyBenchmark:
         block = _block_coords(h // 4, w // 4, min(16, h // 4), min(16, w // 4))
         queries = {
             # one star back to the raw exposure
-            "BQ0": LineageQuery(star_cells, _BQ0_PATH, Direction.BACKWARD),
+            "BQ0": QueryRequest.backward(star_cells, _BQ0_PATH),
             # an output region back to the composite image
-            "BQ1": LineageQuery(
+            "BQ1": QueryRequest.backward(
                 block,
                 (
                     ("star_detect", 0),
@@ -565,29 +565,25 @@ class AstronomyBenchmark:
                     ("rescale", 0),
                     ("cr_remove", 0),
                 ),
-                Direction.BACKWARD,
             ),
             # a cosmic-ray-mask region back through the per-exposure chain
-            "BQ2": LineageQuery(
+            "BQ2": QueryRequest.backward(
                 block,
                 (("crd_1", 0), ("gain_1", 0), ("clip_1", 0), ("bg_sub_1", 0)),
-                Direction.BACKWARD,
             ),
             # the anomalous-mean hunt: a background-corrected region back
             # through the all-to-all global mean (§II-A's faulty operator)
-            "BQ3": LineageQuery(
+            "BQ3": QueryRequest.backward(
                 np.asarray([[0]]),
                 (("bg2_mean", 0), ("rescale", 0), ("cr_remove", 0)),
-                Direction.BACKWARD,
             ),
             # mask provenance: which mask pixels fed the repaired composite
-            "BQ4": LineageQuery(
+            "BQ4": QueryRequest.backward(
                 block,
                 (("cr_remove", 1), ("crd_1", 0), ("gain_1", 0)),
-                Direction.BACKWARD,
             ),
             # forward through the all-to-all background mean
-            "FQ0": LineageQuery(block, _FQ0_PATH, Direction.FORWARD),
+            "FQ0": QueryRequest.forward(block, _FQ0_PATH),
         }
         return queries
 

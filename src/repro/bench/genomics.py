@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.arrays import coords as C
 from repro.arrays.array import SciArray
-from repro.core.model import Direction, LineageQuery
 from repro.core.modes import LineageMode
+from repro.core.query import QueryRequest
 from repro.ops import Clip, LogTransform, Scale, Threshold, Transpose
 from repro.ops.base import Operator
 from repro.workflow.spec import WorkflowSpec
@@ -420,7 +420,7 @@ class GenomicsBenchmark:
     def build_spec(self) -> WorkflowSpec:
         return build_spec()
 
-    def queries(self, instance, n_cells: int = 24) -> dict[str, LineageQuery]:
+    def queries(self, instance, n_cells: int = 24) -> dict[str, QueryRequest]:
         rng = np.random.default_rng(self.seed + 7)
         n_pred = instance.output_shape("p_thresh")[0]
         pred_rows = rng.choice(n_pred, size=min(n_cells, n_pred), replace=False)
@@ -445,7 +445,7 @@ class GenomicsBenchmark:
         ).astype(np.int64)
         return {
             # a relapse prediction back to the supporting training data
-            "BQ0": LineageQuery(
+            "BQ0": QueryRequest.backward(
                 pred_cells,
                 (
                     ("p_thresh", 0),
@@ -455,14 +455,13 @@ class GenomicsBenchmark:
                     ("m_scale", 0),
                 )
                 + _MODEL_BACKWARD_PATH,
-                Direction.BACKWARD,
             ),
             # a model feature back to the contributing training values
-            "BQ1": LineageQuery(model_cells, _MODEL_BACKWARD_PATH, Direction.BACKWARD),
+            "BQ1": QueryRequest.backward(model_cells, _MODEL_BACKWARD_PATH),
             # training values forward to the model
-            "FQ0": LineageQuery(train_cells, _FORWARD_TO_MODEL, Direction.FORWARD),
+            "FQ0": QueryRequest.forward(train_cells, _FORWARD_TO_MODEL),
             # training values forward to the predictions they affected
-            "FQ1": LineageQuery(
+            "FQ1": QueryRequest.forward(
                 train_cells,
                 _FORWARD_TO_MODEL
                 + (
@@ -472,6 +471,5 @@ class GenomicsBenchmark:
                     ("p_scale", 0),
                     ("p_thresh", 0),
                 ),
-                Direction.FORWARD,
             ),
         }

@@ -10,7 +10,7 @@ laptop-friendly sizes; pass the paper's full parameters (astronomy
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.modes import (
     COMP_ONE_B,
@@ -90,11 +90,11 @@ MICRO_CONFIGS: dict[str, StorageStrategy | None] = {
 }
 
 
-def _timed_queries(sz: SubZero, queries, **overrides):
+def _timed_queries(sz: SubZero, queries):
     seconds, counts = {}, {}
     for name, query in queries.items():
         start = time.perf_counter()
-        result = sz.execute_query(query, **overrides)
+        result = sz.query(query)
         seconds[name] = time.perf_counter() - start
         counts[name] = result.count
     return seconds, counts
@@ -131,7 +131,7 @@ def run_astronomy(
         seconds, counts = _timed_queries(sz, queries)
         # FQ0Slow: the same forward query without the entire-array shortcut.
         start = time.perf_counter()
-        slow = sz.execute_query(queries["FQ0"], enable_entire_array=False)
+        slow = sz.query(replace(queries["FQ0"], entire_array=False))
         seconds["FQ0Slow"] = time.perf_counter() - start
         counts["FQ0Slow"] = slow.count
         runs.append(

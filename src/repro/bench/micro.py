@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.arrays import coords as C
 from repro.arrays.array import SciArray
-from repro.core.model import Direction, LineageQuery
 from repro.core.modes import LineageMode
+from repro.core.query import QueryRequest
 from repro.ops.base import Operator
 from repro.workflow.spec import WorkflowSpec
 
@@ -193,12 +193,12 @@ class MicroBenchmark:
     def inputs(self) -> dict[str, SciArray]:
         return {"input": self.input_array}
 
-    def queries(self, instance) -> dict[str, LineageQuery]:
+    def queries(self, instance) -> dict[str, QueryRequest]:
         op: SyntheticLineageOp = instance.operator("synthetic")
         rng = np.random.default_rng(self.seed + 1)
         back_cells = op.cells_with_lineage(rng, self.query_cells)
         fwd_cells = op.input_cells_with_lineage(rng, self.query_cells)
         return {
-            "BQ": LineageQuery(back_cells, (("synthetic", 0),), Direction.BACKWARD),
-            "FQ": LineageQuery(fwd_cells, (("synthetic", 0),), Direction.FORWARD),
+            "BQ": QueryRequest.backward(back_cells, (("synthetic", 0),)),
+            "FQ": QueryRequest.forward(fwd_cells, (("synthetic", 0),)),
         }

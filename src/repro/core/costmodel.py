@@ -178,7 +178,7 @@ class CostModel:
 
         The value side of the Full layouts is priced with the codec-aware
         per-cell footprint the stats collector sampled through
-        ``int_array_nbytes`` — so an operator whose lineage interval-codes
+        ``cells_nbytes`` — so an operator whose lineage interval-codes
         (convolution, reshape) or bitmap-codes (dense-but-ragged masks)
         budgets at its real compressed size — with the flat
         ``enc_cell_bytes`` constant as the pre-profiling fallback.

@@ -69,7 +69,6 @@ from repro.errors import LineageError, StorageError
 from repro.storage import codecs
 from repro.storage import filters as filterlib
 from repro.storage import segment as seglib
-from repro.storage import serialize as ser
 from repro.storage.kvstore import BlobStore, HashStore, _gather_slices
 from repro.storage.rtree import RTree
 
@@ -82,7 +81,7 @@ __all__ = [
 
 
 def encode_singleton_int_arrays(values: np.ndarray) -> np.ndarray:
-    """Vectorised ``encode_int_array([v])`` for many ``v`` at once.
+    """Vectorised ``encode_cells([v])`` for many ``v`` at once.
 
     Single-element arrays always serialize to the same 12-byte layout
     (magic, sorted flag, count=1, width=1, 8-byte base), so a whole batch
@@ -103,14 +102,14 @@ def encode_full_value(incells_per_input: list[np.ndarray]) -> bytes:
     """Serialize one region pair's per-input packed cell sets — the
     per-pair reference the tests hold :func:`encode_full_values` to; the
     stores themselves only ever encode whole batches."""
-    return b"".join(ser.encode_int_array(np.sort(arr)) for arr in incells_per_input)
+    return b"".join(codecs.encode_cells(np.sort(arr)) for arr in incells_per_input)
 
 
 def decode_full_value(buf: bytes, arity: int) -> list[np.ndarray]:
     out = []
     offset = 0
     for _ in range(arity):
-        arr, offset = ser.decode_int_array(buf, offset)
+        arr, offset = codecs.decode_cells(buf, offset)
         out.append(arr)
     return out
 
@@ -120,7 +119,7 @@ def _encode_sorted_segmented(
 ) -> tuple[bytes, np.ndarray]:
     """Sort each ``offsets`` segment of ``values`` and batch-encode it.
 
-    The byte-for-byte vectorised counterpart of ``encode_int_array(sort(s))``
+    The byte-for-byte vectorised counterpart of ``encode_cells(sort(s))``
     per segment: one global segmented sort (lexsort keyed by segment owner)
     feeds :func:`repro.storage.codecs.encode_sorted_sets`, so lowering a
     batch costs no per-pair Python work however its pairs were emitted."""
@@ -1179,7 +1178,7 @@ class _FullForwardOne(OpLineageStore):
             parts.append(cells)
         qidx, refs = self._refs[input_idx].lookup_refs(qpacked)
         for ref in np.unique(refs):
-            arr, _ = ser.decode_int_array(self._blobs.get(int(ref)))
+            arr, _ = codecs.decode_cells(self._blobs.get(int(ref)))
             parts.append(arr)
         return _concat(parts)
 
@@ -1300,7 +1299,7 @@ class _FullForwardMany(OpLineageStore):
         for entry_id in table.candidate_entries(coords):
             keys = table.entry_keys(int(entry_id))
             if C.isin_sorted(keys, query_sorted).any():
-                arr, _ = ser.decode_int_array(table.entry_value(int(entry_id)))
+                arr, _ = codecs.decode_cells(table.entry_value(int(entry_id)))
                 parts.append(arr)
         return _concat(parts)
 

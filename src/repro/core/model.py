@@ -49,7 +49,6 @@ __all__ = [
     "Frontier",
     "Direction",
     "QueryStep",
-    "LineageQuery",
 ]
 
 
@@ -358,9 +357,6 @@ class Frontier:
         if packed.size:
             self._mask.reshape(-1)[packed] = True
 
-    def add_mask(self, mask: np.ndarray) -> None:
-        self._mask |= mask
-
     def set_all(self) -> None:
         self._mask[...] = True
 
@@ -410,30 +406,3 @@ class QueryStep:
 
     node: str
     input_idx: int = 0
-
-
-@dataclass(frozen=True)
-class LineageQuery:
-    """``execute_query(C, ((P1, idx1), ..., (Pm, idxm)))`` from §IV.
-
-    ``cells`` index the starting array: the output of ``path[0]`` for
-    backward queries, or input ``path[0].input_idx`` of that node for
-    forward queries.
-    """
-
-    cells: np.ndarray
-    path: tuple[QueryStep, ...]
-    direction: Direction
-
-    def __post_init__(self) -> None:
-        if not self.path:
-            raise QueryError("a lineage query needs a non-empty operator path")
-        object.__setattr__(self, "cells", C.as_coord_array(self.cells))
-        object.__setattr__(
-            self,
-            "path",
-            tuple(
-                step if isinstance(step, QueryStep) else QueryStep(*step)
-                for step in self.path
-            ),
-        )

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.costmodel import CostModel
-from repro.core.model import Direction, LineageQuery
+from repro.core.model import Direction
 from repro.core.modes import (
     ALL_STRATEGIES,
     BLACKBOX,
@@ -70,21 +70,22 @@ class WorkloadProfile:
     cells: float = 100.0
 
     @classmethod
-    def from_queries(
-        cls, queries: list[LineageQuery | tuple[LineageQuery, float]]
-    ) -> "WorkloadProfile":
+    def from_queries(cls, queries: list, spec) -> "WorkloadProfile":
+        """Profile a sample workload of
+        :class:`~repro.core.query.QueryRequest` values, each optionally
+        paired with a weight as ``(request, weight)``; ``spec`` resolves
+        endpoint requests to their paths."""
         weights: dict[str, dict[Direction, float]] = {}
         total = 0.0
         cell_counts: list[float] = []
         for item in queries:
-            query, weight = item if isinstance(item, tuple) else (item, 1.0)
+            request, weight = item if isinstance(item, tuple) else (item, 1.0)
+            direction = Direction(request.direction)
             total += weight
-            cell_counts.append(float(query.cells.shape[0]))
-            for step in query.path:
+            cell_counts.append(float(len(request.cells)))
+            for step in request.resolve_path(spec):
                 node_weights = weights.setdefault(step.node, {})
-                node_weights[query.direction] = (
-                    node_weights.get(query.direction, 0.0) + weight
-                )
+                node_weights[direction] = node_weights.get(direction, 0.0) + weight
         if total > 0:
             for node_weights in weights.values():
                 for direction in list(node_weights):

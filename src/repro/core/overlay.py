@@ -149,16 +149,10 @@ class OverlayStore(OpLineageStore):
         """How many lineage sources this union consults."""
         return len(self._sources)
 
-    def source_stores(self) -> list[LineageSource]:
-        return list(self._sources)
-
     @property
     def generations(self) -> int:
         """Source count under its historical name (generation overlays)."""
         return len(self._sources)
-
-    def generation_stores(self) -> list[LineageSource]:
-        return list(self._sources)
 
     @property
     def _gens(self) -> list[LineageSource]:

@@ -19,8 +19,8 @@ Concurrency: query execution *borrows* stores through a
 :class:`QuerySession` — catalog-backed stores are pinned on first touch and
 unpinned when the session closes, so the catalog's 2Q eviction can never
 close a mapping under a reader, and execution never mutates runtime state.
-``QueryExecutor.backward`` / ``forward`` are therefore safe to call from
-many threads at once (each call gets its own implicit session unless one is
+``QueryExecutor.execute_request`` is therefore safe to call from many
+threads at once (each call gets its own implicit session unless one is
 passed in); lowered-table warming is serialized per store, so two threads
 cannot race a cache fill.
 """
@@ -28,18 +28,18 @@ cannot race a cache fill.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.arrays import coords as C
 from repro.core.costmodel import CostModel
 from repro.core.lineage_store import OpLineageStore
-from repro.core.model import Direction, Frontier, LineageQuery, QueryStep
+from repro.core.model import Direction, Frontier, QueryStep
 from repro.core.modes import BLACKBOX, LineageMode, Orientation, StorageStrategy
 from repro.core.reexec import ReExecutor
 from repro.core.runtime import LineageRuntime
-from repro.errors import CoordinateError, QueryError
+from repro.errors import CoordinateError, QueryError, WorkflowError
 from repro.ops.base import Operator
 from repro.workflow.instance import WorkflowInstance
 
@@ -100,19 +100,12 @@ class QueryRequest:
                 f"direction must be 'backward' or 'forward', got {self.direction!r}"
             )
         object.__setattr__(self, "direction", direction)
-        cells = _coerce_cells(self.cells)
-        if cells.shape[0] == 0:
-            raise QueryError("a query request needs at least one cell")
-        object.__setattr__(
-            self, "cells", tuple(tuple(int(v) for v in row) for row in cells)
-        )
+        object.__setattr__(self, "cells", _freeze_cells(self.cells))
         if self.path is not None:
-            steps = tuple(_as_step(s) for s in self.path)
-            if not steps:
+            path = _freeze_path(self.path)
+            if not path:
                 raise QueryError("an explicit path must be non-empty")
-            object.__setattr__(
-                self, "path", tuple((s.node, s.input_idx) for s in steps)
-            )
+            object.__setattr__(self, "path", path)
         for endpoint in (self.start, self.end):
             if endpoint is not None and not isinstance(endpoint, str):
                 raise QueryError(
@@ -135,13 +128,11 @@ class QueryRequest:
 
     @classmethod
     def backward(cls, cells, path=None, *, start=None, end=None, **flags) -> "QueryRequest":
-        return cls(Direction.BACKWARD.value, _freeze_cells(cells), _freeze_path(path),
-                   start=start, end=end, **flags)
+        return cls(Direction.BACKWARD.value, cells, path, start=start, end=end, **flags)
 
     @classmethod
     def forward(cls, cells, path=None, *, start=None, end=None, **flags) -> "QueryRequest":
-        return cls(Direction.FORWARD.value, _freeze_cells(cells), _freeze_path(path),
-                   start=start, end=end, **flags)
+        return cls(Direction.FORWARD.value, cells, path, start=start, end=end, **flags)
 
     # -- wire format --------------------------------------------------------
 
@@ -184,8 +175,8 @@ class QueryRequest:
             path = obj.get("path")
             return cls(
                 direction=obj["direction"],
-                cells=tuple(tuple(int(v) for v in c) for c in obj["cells"]),
-                path=tuple((str(n), int(i)) for n, i in path) if path is not None else None,
+                cells=tuple(tuple(c) for c in obj["cells"]),
+                path=tuple((n, i) for n, i in path) if path is not None else None,
                 start=obj.get("start"),
                 end=obj.get("end"),
                 entire_array=obj.get("entire_array"),
@@ -193,67 +184,80 @@ class QueryRequest:
             )
         except QueryError:
             raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: a cell beyond int64, or an infinite float
+        except (KeyError, TypeError, ValueError) as exc:
             raise QueryError(f"malformed query request: {exc}") from exc
 
     # -- resolution ---------------------------------------------------------
 
-    def to_query(self, spec) -> LineageQuery:
-        """Resolve to the executable :class:`LineageQuery`, inferring the
-        path from the endpoints (shortest dataflow route over ``spec``)
-        when this request carries them."""
+    def resolve_path(self, spec) -> tuple[QueryStep, ...]:
+        """The traversal as executable steps: the explicit ``path``, or the
+        shortest dataflow route between the endpoints over ``spec``.  An
+        endpoint that does not resolve is a :class:`QueryError` naming the
+        request field that holds it."""
         if self.path is not None:
-            path = self.path
-        elif self.direction == Direction.BACKWARD.value:
-            path = tuple(spec.lineage_path(self.start, self.end))
-        else:
-            # forward: start names the source/input, end the target node
-            path = tuple(reversed(spec.lineage_path(self.end, self.start)))
-        return LineageQuery(
-            cells=np.asarray(self.cells, dtype=np.int64),
-            path=tuple(QueryStep(node, idx) for node, idx in path),
-            direction=Direction(self.direction),
-        )
-
-    @classmethod
-    def from_query(cls, query: LineageQuery, **flags) -> "QueryRequest":
-        """Lift an executable :class:`LineageQuery` into the serializable
-        request form (the inverse of :meth:`to_query` for explicit paths).
-        ``flags`` set the per-request overrides, e.g.
-        ``from_query(q, entire_array=False)``."""
-        return cls(
-            direction=query.direction,
-            cells=_freeze_cells(query.cells),
-            path=tuple((s.node, s.input_idx) for s in query.path),
-            **flags,
-        )
-
-    def with_overrides(self, **fields) -> "QueryRequest":
-        """A copy with the given fields replaced (requests are frozen)."""
-        return replace(self, **fields)
+            return tuple(QueryStep(node, idx) for node, idx in self.path)
+        backward = self.direction == Direction.BACKWARD.value
+        # the cells index a node's output (backward: start) and the trace
+        # runs to a node or source (backward: end); forward swaps the roles
+        node_field, other_field = ("start", "end") if backward else ("end", "start")
+        node, other = getattr(self, node_field), getattr(self, other_field)
+        if not spec.has_node(node):
+            raise QueryError(f"unknown {node_field} node {node!r}")
+        if not spec.has_node(other) and other not in spec.sources:
+            raise QueryError(f"unknown {other_field} {other!r}")
+        try:
+            path = spec.lineage_path(node, other)
+        except WorkflowError as exc:  # start == end, or no dataflow route
+            raise QueryError(str(exc)) from exc
+        steps = tuple(QueryStep(n, idx) for n, idx in path)
+        return steps if backward else steps[::-1]
 
 
-def _coerce_cells(cells) -> np.ndarray:
-    """Cells to an (n, ndim) int64 array; malformed cells are a
-    :class:`QueryError` (the request surface's error type), not a bare
-    coordinate error."""
-    try:
-        return C.as_coord_array(cells)
-    except (CoordinateError, OverflowError) as exc:
-        raise QueryError(f"invalid query cells: {exc}") from exc
+def _as_int(value, what: str) -> int:
+    """``value`` as an int, refusing what a plain ``int()`` would quietly
+    turn into a different cell or input: bools, strings, and floats with a
+    fractional part (an integral float such as ``2.0`` is accepted)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise QueryError(f"{what} must be an integer, got {value!r}")
 
 
 def _freeze_cells(cells) -> tuple[tuple[int, ...], ...]:
-    arr = _coerce_cells(cells)
-    return tuple(tuple(int(v) for v in row) for row in arr)
+    """Cells as one int tuple per cell; malformed cells are a
+    :class:`QueryError` (the request surface's error type), not a bare
+    coordinate error."""
+    try:
+        if not (isinstance(cells, np.ndarray) and cells.dtype.kind in "iu"):
+            grid = np.asarray(cells, dtype=object)
+            values = [_as_int(v, "a cell coordinate") for v in grid.ravel()]
+            cells = np.array(values, dtype=np.int64).reshape(grid.shape)
+        arr = C.as_coord_array(cells)
+    except (CoordinateError, OverflowError, ValueError) as exc:
+        # OverflowError: a coordinate beyond int64
+        raise QueryError(f"invalid query cells: {exc}") from exc
+    if arr.shape[0] == 0:
+        raise QueryError("a query request needs at least one cell")
+    if arr.shape[1] == 0:
+        raise QueryError("a query cell needs at least one coordinate")
+    return tuple(map(tuple, arr.tolist()))
 
 
-def _freeze_path(path) -> tuple[tuple[str, int], ...] | None:
-    if path is None:
-        return None
-    steps = tuple(_as_step(s) for s in path)
-    return tuple((s.node, s.input_idx) for s in steps)
+def _freeze_path(path) -> tuple[tuple[str, int], ...]:
+    steps = []
+    for step in path:
+        if isinstance(step, str):
+            step = QueryStep(step)
+        elif not isinstance(step, QueryStep):
+            try:
+                step = QueryStep(*step)
+            except TypeError as exc:
+                raise QueryError(f"invalid path step {step!r}") from exc
+        if not isinstance(step.node, str):
+            raise QueryError(f"path nodes must be node names (str), got {step.node!r}")
+        steps.append((step.node, _as_int(step.input_idx, "a path input index")))
+    return tuple(steps)
 
 
 class QuerySession:
@@ -297,9 +301,6 @@ class QuerySession:
             held = (catalog, record)
             self._borrowed[key] = held
         return held[1].store
-
-    def pinned_count(self) -> int:
-        return len(self._borrowed)
 
     def close(self) -> None:
         """Release every pin.  Idempotent."""
@@ -500,48 +501,16 @@ class QueryExecutor:
 
     # -- public API ----------------------------------------------------------
 
-    def backward(self, cells, path, **overrides) -> QueryResult:
-        """Trace ``cells`` (in the output of ``path[0]``) back through the path."""
-        query = LineageQuery(
-            cells=np.asarray(cells),
-            path=tuple(_as_step(s) for s in path),
-            direction=Direction.BACKWARD,
-        )
-        return self.execute(query, **overrides)
-
-    def forward(self, cells, path, **overrides) -> QueryResult:
-        """Trace ``cells`` (in input ``idx`` of ``path[0]``) forward through the path."""
-        query = LineageQuery(
-            cells=np.asarray(cells),
-            path=tuple(_as_step(s) for s in path),
-            direction=Direction.FORWARD,
-        )
-        return self.execute(query, **overrides)
-
     def execute_request(
         self, request: QueryRequest, session: QuerySession | None = None
     ) -> QueryResult:
-        """Run one :class:`QueryRequest` — the serializable surface the
-        embedded API, ``serve()``, and the network daemon all share.
+        """Run one :class:`QueryRequest` — the executor's only entry point,
+        shared by the embedded API, ``serve()``, and the network daemon.
+
         Endpoint requests are resolved against the executed workflow's
         spec; ``entire_array``/``query_opt`` override the engine defaults
-        for this request only."""
-        query = request.to_query(self.instance.spec)
-        return self.execute(
-            query,
-            enable_entire_array=request.entire_array,
-            enable_query_opt=request.query_opt,
-            session=session,
-        )
-
-    def execute(
-        self,
-        query: LineageQuery,
-        enable_entire_array: bool | None = None,
-        enable_query_opt: bool | None = None,
-        session: QuerySession | None = None,
-    ) -> QueryResult:
-        """Run one lineage query.
+        for this request only.  Cells that do not fit the start array and
+        endpoints that do not resolve are a :class:`QueryError`.
 
         ``session`` lets a caller share one borrow scope (pinned stores)
         across queries; without one, a session is opened for this call and
@@ -550,27 +519,32 @@ class QueryExecutor:
         """
         entire = (
             self.enable_entire_array
-            if enable_entire_array is None
-            else enable_entire_array
+            if request.entire_array is None
+            else request.entire_array
         )
-        opt = self.enable_query_opt if enable_query_opt is None else enable_query_opt
-        backward = query.direction is Direction.BACKWARD
+        opt = self.enable_query_opt if request.query_opt is None else request.query_opt
+        path = request.resolve_path(self.instance.spec)
+        backward = request.direction == Direction.BACKWARD.value
         if backward:
-            self.instance.validate_backward_path(query.path)
-            start_shape = self.instance.output_shape(query.path[0].node)
+            self.instance.validate_backward_path(path)
+            start_shape = self.instance.output_shape(path[0].node)
         else:
-            self.instance.validate_forward_path(query.path)
-            first = query.path[0]
-            start_shape = self.instance.operator(first.node).input_shapes[
-                first.input_idx
+            self.instance.validate_forward_path(path)
+            start_shape = self.instance.operator(path[0].node).input_shapes[
+                path[0].input_idx
             ]
+        try:
+            frontier = Frontier.from_coords(np.asarray(request.cells), start_shape)
+        except CoordinateError as exc:
+            raise QueryError(
+                f"request cells do not fit the start array {start_shape}: {exc}"
+            ) from exc
         owns_session = session is None
         if owns_session:
             session = QuerySession(self.runtime)
         try:
-            frontier = Frontier.from_coords(query.cells, start_shape)
             result = QueryResult(frontier=frontier)
-            for step in query.path:
+            for step in path:
                 frontier, stats = self._execute_step(
                     step, frontier, backward, entire, opt, session
                 )
@@ -901,11 +875,3 @@ class QueryExecutor:
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
-
-
-def _as_step(step) -> QueryStep:
-    if isinstance(step, QueryStep):
-        return step
-    if isinstance(step, str):
-        return QueryStep(step, 0)
-    return QueryStep(*step)

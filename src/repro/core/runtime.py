@@ -268,13 +268,6 @@ class LineageRuntime:
         stats.update(self.stats.maintenance)
         return stats
 
-    def stores_for_node(self, node: str) -> list[OpLineageStore]:
-        """Resident stores only — catalog entries stay unopened (use
-        :meth:`store_for` per strategy to materialise one deliberately)."""
-        return [
-            store for (n, _), store in self._stores.items() if n == node
-        ]
-
     def lowered_ready(self, node: str, strategy: StorageStrategy) -> bool:
         """True when (node, strategy)'s mismatched scans would run off warm
         lowered tables — resident-and-cached, or persisted in the catalog's

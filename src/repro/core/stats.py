@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.arrays import coords as C
 from repro.core.model import BufferSink
-from repro.storage import serialize as ser
+from repro.storage import codecs
 
 __all__ = ["OperatorStats", "StatsCollector"]
 
@@ -25,15 +25,13 @@ ENC_SAMPLE_PAIRS = 256
 
 #: serialized bytes of a one-cell codec value (the stable singleton layout),
 #: derived from the codec layer so it can never drift from the wire format
-_SINGLETON_BYTES = ser.int_array_nbytes(np.zeros(1, dtype=np.int64))
+_SINGLETON_BYTES = codecs.cells_nbytes(np.zeros(1, dtype=np.int64))
 
 
 def _segmented_nbytes(values: np.ndarray, offsets: np.ndarray) -> int:
     """Codec-priced bytes of the cell sets ``values[offsets[i]:offsets[i+1]]``
     in one vectorised pass (byte-identical to pricing each sorted set through
-    ``int_array_nbytes``, per the ``encode_sorted_sets`` equivalence)."""
-    from repro.storage import codecs
-
+    ``cells_nbytes``, per the ``encode_sorted_sets`` equivalence)."""
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     counts = np.diff(offsets)
     owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
@@ -56,7 +54,7 @@ class OperatorStats:
     n_payload_outcells: int = 0
     output_size: int = 0
     input_sizes: tuple[int, ...] = ()
-    # codec-predicted serialized footprints (sampled via int_array_nbytes,
+    # codec-predicted serialized footprints (sampled via cells_nbytes,
     # extrapolated to the whole sink); zero until a run provided shapes
     enc_in_bytes: int = 0
     enc_out_bytes: int = 0
@@ -66,11 +64,6 @@ class OperatorStats:
     # observed at query time
     reexec_seconds: float | None = None
     observed_query_seconds: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def fanout_avg(self) -> float:
-        """Mean output cells per region pair."""
-        return self.n_outcells / self.n_pairs if self.n_pairs else 0.0
 
     @property
     def fanin_avg(self) -> float:
@@ -173,7 +166,7 @@ class StatsCollector:
 
         When the caller provides the array shapes, a sample of the region
         pairs is additionally priced through the codec layer
-        (:func:`repro.storage.serialize.int_array_nbytes`), so the cost
+        (:func:`repro.storage.codecs.cells_nbytes`), so the cost
         model sees *compressed* footprints — contiguous convolution or
         reshape lineage interval-codes, and dense-but-ragged masks
         bitmap-code, to a fraction of the old per-cell constant — instead

@@ -25,7 +25,6 @@ never closes a mapping under a pinned session.
 from __future__ import annotations
 
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
@@ -33,7 +32,6 @@ from repro.analysis import lockcheck
 from repro.arrays.array import SciArray
 from repro.arrays.versions import VersionStore
 from repro.core.costmodel import CostConstants, CostModel
-from repro.core.model import LineageQuery
 from repro.core.modes import MAP, LineageMode, StorageStrategy
 from repro.core.optimizer import (
     OptimizationResult,
@@ -116,9 +114,6 @@ class SubZero:
         #: foreground pressure signal for the maintenance worker: queries
         #: currently executing through :meth:`serve`
         self._serving = _InflightGauge()
-        #: cached scatter-gather wrapper over the executor, rebuilt whenever
-        #: the executor or the attached partitioned catalog changes
-        self._scatter = None
 
     # -- strategy management ---------------------------------------------------
 
@@ -162,13 +157,7 @@ class SubZero:
             version_store=version_store,
             wal=self.wal,
         )
-        self.executor = QueryExecutor(
-            self.instance,
-            self.runtime,
-            cost_model=self.cost_model,
-            enable_entire_array=self.enable_entire_array,
-            enable_query_opt=self.enable_query_opt,
-        )
+        self._attach_executor()
         return self.instance
 
     def profile(self, inputs: Mapping[str, SciArray]) -> WorkflowInstance:
@@ -179,6 +168,11 @@ class SubZero:
         self.instance = execute_workflow(
             self.spec, inputs, runtime=self.runtime, wal=self.wal
         )
+        self._attach_executor()
+        return self.instance
+
+    def _attach_executor(self) -> None:
+        """Point the query executor at the current instance and runtime."""
         self.executor = QueryExecutor(
             self.instance,
             self.runtime,
@@ -186,7 +180,6 @@ class SubZero:
             enable_entire_array=self.enable_entire_array,
             enable_query_opt=self.enable_query_opt,
         )
-        return self.instance
 
     # -- persistence / resumption ---------------------------------------------------
 
@@ -341,13 +334,7 @@ class SubZero:
             directory, memory_budget_bytes=memory_budget_bytes
         )
         if self.instance is not None:
-            self.executor = QueryExecutor(
-                self.instance,
-                self.runtime,
-                cost_model=self.cost_model,
-                enable_entire_array=self.enable_entire_array,
-                enable_query_opt=self.enable_query_opt,
-            )
+            self._attach_executor()
         return loaded
 
     def resume(
@@ -372,13 +359,7 @@ class SubZero:
             self.runtime.load_all(
                 lineage_dir, memory_budget_bytes=self.memory_budget_bytes
             )
-        self.executor = QueryExecutor(
-            self.instance,
-            self.runtime,
-            cost_model=self.cost_model,
-            enable_entire_array=self.enable_entire_array,
-            enable_query_opt=self.enable_query_opt,
-        )
+        self._attach_executor()
         return self.instance
 
     # -- queries ------------------------------------------------------------------------
@@ -392,21 +373,16 @@ class SubZero:
         self, executor: QueryExecutor, request: QueryRequest, session
     ) -> QueryResult:
         """Route one request: straight through the executor for a
-        monolithic catalog, through the cached
+        monolithic catalog, through a
         :class:`~repro.storage.partition.ScatterGatherExecutor` (which
-        records the partition fan-out plan) for a partitioned one."""
+        records the partition fan-out plan on the catalog) for a
+        partitioned one."""
         catalog = self.runtime.catalog if self.runtime is not None else None
         if catalog is None or not hasattr(catalog, "partition_ids"):
             return executor.execute_request(request, session=session)
-        scatter = self._scatter
-        if (
-            scatter is None
-            or scatter._executor is not executor
-            or scatter.catalog is not catalog
-        ):
-            from repro.storage.partition import ScatterGatherExecutor
+        from repro.storage.partition import ScatterGatherExecutor
 
-            scatter = self._scatter = ScatterGatherExecutor(executor, catalog)
+        scatter = ScatterGatherExecutor(executor, catalog)
         return scatter.execute_request(request, session=session)
 
     def session(self) -> QuerySession:
@@ -416,7 +392,7 @@ class SubZero:
 
             with sz.session() as session:
                 for q in queries:
-                    sz.execute_query(q, session=session)
+                    sz.query(q, session=session)
         """
         if self.runtime is None:
             raise QueryError("execute or resume the workflow before opening a session")
@@ -424,14 +400,14 @@ class SubZero:
 
     def serve(
         self,
-        queries: Sequence[LineageQuery | QueryRequest],
+        queries: Sequence[QueryRequest],
         max_workers: int = 4,
     ) -> list[QueryResult]:
-        """Execute a batch of lineage queries on a thread pool.
+        """Execute a batch of :class:`~repro.core.query.QueryRequest`
+        values on a thread pool.
 
-        Accepts :class:`~repro.core.query.QueryRequest` objects (the
-        serializable surface the network daemon speaks) and legacy
-        :class:`~repro.core.model.LineageQuery` values interchangeably.
+        Every request takes the same route as :meth:`query` (so a
+        partitioned catalog accounts its scatter plan per request).
         Results come back in input order.  Each worker thread runs queries
         through its own :class:`~repro.core.query.QuerySession`, so all
         threads share one mmap per store (open-once/share-many) and the
@@ -454,12 +430,10 @@ class SubZero:
             # until close()
             self.start_maintenance()
 
-        def run_one(query, session: QuerySession) -> QueryResult:
+        def run_one(request: QueryRequest, session: QuerySession) -> QueryResult:
             self._serving.enter()
             try:
-                if isinstance(query, QueryRequest):
-                    return self._dispatch_request(executor, query, session)
-                return executor.execute(query, session=session)
+                return self._dispatch_request(executor, request, session)
             finally:
                 self._serving.exit()
 
@@ -492,118 +466,65 @@ class SubZero:
         self, request: QueryRequest, session: QuerySession | None = None
     ) -> QueryResult:
         """Execute one :class:`~repro.core.query.QueryRequest` — the
-        canonical query entry point.
+        query entry point; :meth:`backward_query`, :meth:`forward_query`,
+        :meth:`trace_back` and :meth:`trace_forward` are one-line sugar
+        over it.
 
         The same frozen, serializable request object drives the embedded
         API, :meth:`serve`, and the network daemon
         (:mod:`repro.serving`), so ``sz.query(r)`` and a daemon answering
         ``r.to_dict()`` over the wire are provably the same query.  Over a
         partitioned catalog the request is planned and accounted by the
-        scatter-gather layer first (see :meth:`_dispatch_request`)."""
+        scatter-gather layer first (see :meth:`_dispatch_request`).  Cells
+        that do not fit the start array and endpoints that do not resolve
+        raise :class:`~repro.errors.QueryError`.  To change a flag on an
+        existing request, use ``dataclasses.replace(request,
+        entire_array=False)``."""
         return self._dispatch_request(self._require_executor(), request, session)
 
-    def backward_query(self, cells, path, session=None, **overrides) -> QueryResult:
-        """Backward query along an explicit path.  Convenience wrapper for
-        :meth:`query`; keyword overrides are deprecated — set the
-        corresponding :class:`QueryRequest` fields instead."""
-        fields = self._override_fields("backward_query", overrides)
-        return self.query(
-            QueryRequest.backward(cells, path, **fields), session=session
-        )
+    def backward_query(self, cells, path, session=None) -> QueryResult:
+        """Backward query along an explicit path (sugar for :meth:`query`)."""
+        return self.query(QueryRequest.backward(cells, path), session=session)
 
-    def forward_query(self, cells, path, session=None, **overrides) -> QueryResult:
-        """Forward query along an explicit path (see :meth:`backward_query`)."""
-        fields = self._override_fields("forward_query", overrides)
-        return self.query(
-            QueryRequest.forward(cells, path, **fields), session=session
-        )
+    def forward_query(self, cells, path, session=None) -> QueryResult:
+        """Forward query along an explicit path (sugar for :meth:`query`)."""
+        return self.query(QueryRequest.forward(cells, path), session=session)
 
-    def execute_query(
-        self, query: LineageQuery | QueryRequest, session=None, **overrides
-    ) -> QueryResult:
-        """Execute a :class:`QueryRequest` (preferred) or a legacy
-        :class:`LineageQuery`.  Keyword overrides are deprecated in favor
-        of the request's ``entire_array``/``query_opt`` fields."""
-        if isinstance(query, QueryRequest):
-            fields = self._override_fields("execute_query", overrides)
-            if fields:
-                query = query.with_overrides(**fields)
-            return self.query(query, session=session)
-        fields = self._override_fields("execute_query", overrides)
-        return self._require_executor().execute(
-            query,
-            enable_entire_array=fields.get("entire_array"),
-            enable_query_opt=fields.get("query_opt"),
-            session=session,
-        )
-
-    def trace_back(self, cells, from_node: str, to: str, session=None, **overrides) -> QueryResult:
+    def trace_back(self, cells, from_node: str, to: str, session=None) -> QueryResult:
         """Backward query with the path inferred (shortest dataflow route
         from ``from_node``'s output back to node or source ``to``)."""
-        fields = self._override_fields("trace_back", overrides)
         return self.query(
-            QueryRequest.backward(cells, start=from_node, end=to, **fields),
-            session=session,
+            QueryRequest.backward(cells, start=from_node, end=to), session=session
         )
 
-    def trace_forward(self, cells, from_name: str, to_node: str, session=None, **overrides) -> QueryResult:
+    def trace_forward(self, cells, from_name: str, to_node: str, session=None) -> QueryResult:
         """Forward query with the path inferred (``from_name`` may be a
         source or a node; the trace ends at ``to_node``'s output)."""
-        fields = self._override_fields("trace_forward", overrides)
         return self.query(
-            QueryRequest.forward(cells, start=from_name, end=to_node, **fields),
-            session=session,
+            QueryRequest.forward(cells, start=from_name, end=to_node), session=session
         )
-
-    #: legacy ``**overrides`` kwarg -> QueryRequest field (the shim's map)
-    _OVERRIDE_FIELDS = {
-        "enable_entire_array": "entire_array",
-        "enable_query_opt": "query_opt",
-    }
-
-    @classmethod
-    def _override_fields(cls, method: str, overrides: Mapping) -> dict:
-        """Back-compat shim: map deprecated ``**overrides`` kwargs onto
-        :class:`QueryRequest` fields with a :class:`DeprecationWarning`;
-        reject unknown kwargs loudly (they used to vanish into the soup)."""
-        if not overrides:
-            return {}
-        fields = {}
-        for key, value in overrides.items():
-            replacement = cls._OVERRIDE_FIELDS.get(key)
-            if replacement is None:
-                raise TypeError(
-                    f"{method}() got an unexpected keyword argument {key!r}"
-                )
-            warnings.warn(
-                f"{method}(..., {key}=...) is deprecated; build a "
-                f"QueryRequest with {replacement}={value!r} instead "
-                "(the kwargs shim will be removed next release)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            fields[replacement] = value
-        return fields
 
     # -- optimization ----------------------------------------------------------------------
 
     def optimize(
         self,
-        workload: list[LineageQuery] | WorkloadProfile,
+        workload: list[QueryRequest] | WorkloadProfile,
         max_disk_bytes: float,
         max_runtime_seconds: float | None = None,
         beta: float = 1.0,
         pinned: Mapping[str, list[StorageStrategy]] | None = None,
         apply: bool = True,
     ) -> OptimizationResult:
-        """Pick the optimal strategy mix for a sample workload and budget.
+        """Pick the optimal strategy mix for a sample workload (a list of
+        :class:`~repro.core.query.QueryRequest` values, or a prepared
+        :class:`WorkloadProfile`) and budget.
 
         Requires statistics — run :meth:`profile` (or :meth:`run`) first.
         """
         if isinstance(workload, WorkloadProfile):
             profile = workload
         else:
-            profile = WorkloadProfile.from_queries(list(workload))
+            profile = WorkloadProfile.from_queries(list(workload), self.spec)
         operators = {
             name: node.operator for name, node in self.spec.nodes.items()
         }

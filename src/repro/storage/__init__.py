@@ -1,4 +1,4 @@
-"""Persistence substrate: hash store, blob store, R-tree, WAL, serialization."""
+"""Persistence substrate: hash store, blob store, R-tree, WAL."""
 
 from repro.storage.kvstore import BlobStore, HashStore
 from repro.storage.rtree import RTree

@@ -113,7 +113,7 @@ _DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 _BITMAP_MAX_SPAN = 1 << 27
 
 
-# -- varints (shared with :mod:`repro.storage.serialize`) -----------------------
+# -- varints --------------------------------------------------------------------
 
 
 def encode_uvarint(value: int) -> bytes:

@@ -755,8 +755,8 @@ class ScatterGatherExecutor:
         surfaces from execution."""
         all_live = tuple(self.catalog._live_children())
         try:
-            query = request.to_query(self._executor.instance.spec)
-            nodes = tuple(step.node for step in query.path)
+            path = request.resolve_path(self._executor.instance.spec)
+            nodes = tuple(step.node for step in path)
         except QueryError:
             return ScatterPlan(partition_ids=all_live, broadcast=True, nodes=())
         if request.entire_array is True:

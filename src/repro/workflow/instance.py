@@ -72,10 +72,6 @@ class WorkflowInstance:
     def output_shape(self, node: str) -> tuple[int, ...]:
         return self.output_array(node).shape
 
-    def input_shape(self, node: str, input_idx: int) -> tuple[int, ...]:
-        op = self.operator(node)
-        return op.input_shapes[input_idx]
-
     # -- query-path validation (§IV query model) -----------------------------------
 
     def validate_backward_path(self, path) -> None:

@@ -1,5 +1,7 @@
 """Integration tests for the astronomy (LSST) benchmark workload."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from repro import (
     BLACKBOX,
     COMP_ONE_B,
     FULL_ONE_B,
-    QueryRequest,
     SubZero,
 )
 from repro.bench.astronomy import (
@@ -93,13 +94,13 @@ class TestQueries:
         queries = bench.queries(subzero.instance)
         assert set(queries) == {"BQ0", "BQ1", "BQ2", "BQ3", "BQ4", "FQ0"}
         for name, query in queries.items():
-            result = subzero.execute_query(query)
+            result = subzero.query(query)
             assert result.count > 0, name
 
     def test_bq0_stays_local(self, bench, subzero):
         """A star's lineage is a compact neighbourhood, not the whole image."""
         queries = bench.queries(subzero.instance)
-        result = subzero.execute_query(queries["BQ0"])
+        result = subzero.query(queries["BQ0"])
         assert 0 < result.count < subzero.instance.source_array("img_1").size / 4
         coords = result.coords
         span = coords.max(axis=0) - coords.min(axis=0)
@@ -107,10 +108,8 @@ class TestQueries:
 
     def test_fq0_entire_array_vs_slow_agree(self, bench, subzero):
         queries = bench.queries(subzero.instance)
-        fast = subzero.execute_query(queries["FQ0"])
-        slow = subzero.execute_query(
-            QueryRequest.from_query(queries["FQ0"], entire_array=False)
-        )
+        fast = subzero.query(queries["FQ0"])
+        slow = subzero.query(replace(queries["FQ0"], entire_array=False))
         assert {tuple(c) for c in fast.coords} == {tuple(c) for c in slow.coords}
         assert fast.seconds <= slow.seconds
 
@@ -125,7 +124,7 @@ class TestQueries:
             instance = sz.run(bench.inputs())
             query = bench.queries(instance)["BQ0"]
             results[strategy.label] = {
-                tuple(c) for c in sz.execute_query(query).coords
+                tuple(c) for c in sz.query(query).coords
             }
         assert results["Blackbox"] == results["<-FullOne"] == results["<-CompOne"]
 

@@ -109,7 +109,7 @@ class TestQueriesAndEquivalence:
         queries = bench.queries(subzero.instance)
         assert set(queries) == {"BQ0", "BQ1", "FQ0", "FQ1"}
         for name, query in queries.items():
-            assert subzero.execute_query(query).count > 0, name
+            assert subzero.query(query).count > 0, name
 
     @pytest.mark.parametrize(
         "strategies",
@@ -129,8 +129,8 @@ class TestQueriesAndEquivalence:
         ref_instance = reference.run(bench.inputs())
         ref_queries = bench.queries(ref_instance)
         for name in queries:
-            got = {tuple(c) for c in sz.execute_query(queries[name]).coords}
-            want = {tuple(c) for c in reference.execute_query(ref_queries[name]).coords}
+            got = {tuple(c) for c in sz.query(queries[name]).coords}
+            want = {tuple(c) for c in reference.query(ref_queries[name]).coords}
             assert got == want, name
 
     def test_forward_and_backward_consistent(self, subzero):

@@ -56,8 +56,8 @@ class TestMicroBenchmark:
         ref_queries = bench.queries(ref_instance)
 
         for name in queries:
-            got = {tuple(c) for c in sz.execute_query(queries[name]).coords}
-            want = {tuple(c) for c in ref.execute_query(ref_queries[name]).coords}
+            got = {tuple(c) for c in sz.query(queries[name]).coords}
+            want = {tuple(c) for c in ref.query(ref_queries[name]).coords}
             assert got == want, name
 
     def test_payload_size_is_4x_fanin(self, bench):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro import SciArray, SubZero
 from repro.core.costmodel import CostModel
-from repro.core.model import Direction, LineageQuery
+from repro.core.model import Direction
 from repro.core.modes import (
     BLACKBOX,
     FULL_MANY_B,
@@ -21,6 +21,7 @@ from repro.core.optimizer import (
     WorkloadProfile,
     candidate_strategies,
 )
+from repro.core.query import QueryRequest
 from repro.core.stats import StatsCollector
 from repro.errors import OptimizationError
 from tests.conftest import SpotUDF, build_spot_spec
@@ -131,17 +132,30 @@ class TestCostModel:
 
 class TestWorkloadProfile:
     def test_weights_normalised(self):
-        q1 = LineageQuery(np.asarray([[0, 0]]), (("a", 0), ("b", 0)), Direction.BACKWARD)
-        q2 = LineageQuery(np.asarray([[0, 0]]), (("a", 0),), Direction.FORWARD)
-        profile = WorkloadProfile.from_queries([q1, q2])
+        q1 = QueryRequest.backward([(0, 0)], (("a", 0), ("b", 0)))
+        q2 = QueryRequest.forward([(0, 0)], (("a", 0),))
+        # explicit paths need no spec to resolve
+        profile = WorkloadProfile.from_queries([q1, q2], spec=None)
         assert profile.weights["a"][Direction.BACKWARD] == 0.5
         assert profile.weights["a"][Direction.FORWARD] == 0.5
         assert profile.weights["b"][Direction.BACKWARD] == 0.5
 
     def test_weighted_queries(self):
-        q = LineageQuery(np.asarray([[0, 0]]), (("a", 0),), Direction.BACKWARD)
-        profile = WorkloadProfile.from_queries([(q, 3.0)])
+        q = QueryRequest.backward([(0, 0)], (("a", 0),))
+        profile = WorkloadProfile.from_queries([(q, 3.0)], spec=None)
         assert profile.weights["a"][Direction.BACKWARD] == 1.0
+
+    def test_endpoint_requests_resolve_through_spec(self):
+        spec = build_spot_spec()
+        path = (("scale", 0), ("spot", 0), ("smooth", 0))
+        by_path = WorkloadProfile.from_queries(
+            [QueryRequest.backward([(1, 1)], path)], spec
+        )
+        by_endpoints = WorkloadProfile.from_queries(
+            [QueryRequest.backward([(1, 1)], start="scale", end="img")], spec
+        )
+        assert by_endpoints.weights == by_path.weights
+        assert set(by_path.weights) == {"scale", "spot", "smooth"}
 
 
 class TestCandidateStrategies:
@@ -261,11 +275,7 @@ class TestEndToEndOptimize:
         sz.use_mapping_where_possible()
         sz.profile({"img": image})
         queries = [
-            LineageQuery(
-                np.asarray([[4, 4]]),
-                (("scale", 0), ("spot", 0), ("smooth", 0)),
-                Direction.BACKWARD,
-            )
+            QueryRequest.backward([(4, 4)], (("scale", 0), ("spot", 0), ("smooth", 0)))
         ]
         result = sz.optimize(queries, max_disk_bytes=10e6)
         assert "spot" in result.plan

@@ -20,9 +20,9 @@ Five layers under test:
 * **request surface** — a Hypothesis property: request -> dict -> JSON ->
   request round-trips exactly and executes identically; a second one feeds
   ``QueryRequest.from_dict`` arbitrary JSON and accepts only a request or a
-  ``QueryError``; malformed bodies and ``Content-Length`` headers get a 400
-  envelope and the daemon keeps serving; the deprecated ``**overrides``
-  kwargs warn and map onto request fields.
+  ``QueryError``; malformed bodies and ``Content-Length`` headers, cells
+  that do not fit the start array, non-integer coordinates and
+  unresolvable endpoints get a 400 envelope and the daemon keeps serving.
 """
 
 import http.client
@@ -218,17 +218,58 @@ class TestDaemonEquivalence:
                     client.query(QueryRequest.backward([(1, 1)], ["nonesuch"]))
 
     @pytest.mark.parametrize(
-        "body",
+        "body, message",
         [
             # a cell beyond int64 (used to escape as a raw OverflowError)
-            {"direction": "backward", "cells": [[2**70, 2]], "path": [["s1", 0]]},
+            ({"direction": "backward", "cells": [[2**70, 2]], "path": [["s1", 0]]}, ""),
             # a non-string endpoint (used to die as an unhashable TypeError)
-            {"direction": "backward", "cells": [[1, 2]], "start": ["x"], "end": "img"},
+            (
+                {"direction": "backward", "cells": [[1, 2]], "start": ["x"], "end": "img"},
+                "",
+            ),
+            # cells that do not fit the start array (used to be a 500
+            # CoordinateError from the executor)
+            (
+                {"direction": "backward", "cells": [[100, 100]], "path": [["s1", 0]]},
+                "do not fit",
+            ),
+            (
+                {"direction": "backward", "cells": [[1, 2, 3]], "path": [["s1", 0]]},
+                "do not fit",
+            ),
+            # an endpoint that does not resolve (used to be a 500
+            # WorkflowError naming the wrong field for forward requests)
+            (
+                {"direction": "forward", "cells": [[1, 2]], "start": "img", "end": "nope"},
+                "unknown end node 'nope'",
+            ),
+            # non-integer coordinates (used to be truncated to cell (1, 2))
+            (
+                {"direction": "backward", "cells": [[1.7, 2]], "path": [["s1", 0]]},
+                "must be an integer",
+            ),
+            (
+                {"direction": "backward", "cells": [[True, 2]], "path": [["s1", 0]]},
+                "must be an integer",
+            ),
+            (
+                {"direction": "backward", "cells": [["3", 2]], "path": [["s1", 0]]},
+                "must be an integer",
+            ),
         ],
-        ids=["cell-beyond-int64", "non-string-start"],
+        ids=[
+            "cell-beyond-int64",
+            "non-string-start",
+            "cell-out-of-bounds",
+            "cell-wrong-dimension",
+            "unknown-endpoint",
+            "fractional-coordinate",
+            "bool-coordinate",
+            "string-coordinate",
+        ],
     )
     def test_invalid_request_values_get_400_and_daemon_keeps_serving(
-        self, flushed, body
+        self, flushed, body, message
     ):
         with _resume_engine(flushed) as sz:
             with QueryDaemon(sz, port=0) as daemon:
@@ -236,6 +277,7 @@ class TestDaemonEquivalence:
                 client.wait_ready()
                 status, reply = client._call("POST", "/v1/query", json.dumps(body).encode())
                 assert status == 400 and reply["error"]["type"] == "QueryError"
+                assert message in reply["error"]["message"]
                 request = flushed["requests"][0]
                 assert canonical_result(client.query(request)) == flushed["baseline"][0]
 
@@ -639,6 +681,44 @@ class TestRequestRoundTrip:
         with pytest.raises(QueryError):
             QueryRequest.backward([(2**70, 1)], ["s1"])  # beyond int64
 
+    @pytest.mark.parametrize("value", [1.7, True, "3", float("nan")])
+    def test_non_integer_values_rejected(self, value):
+        """A coordinate or input index that ``int()`` would quietly turn
+        into a different one is refused, from the wire and in-process."""
+        with pytest.raises(QueryError, match="must be an integer"):
+            QueryRequest.backward([(value, 2)], ["s1"])
+        with pytest.raises(QueryError, match="must be an integer"):
+            QueryRequest.backward([(1, 2)], [("s1", value)])
+        wire = {"direction": "backward", "cells": [[value, 2]], "path": [["s1", 0]]}
+        with pytest.raises(QueryError, match="must be an integer"):
+            QueryRequest.from_dict(wire)
+        wire = {"direction": "backward", "cells": [[1, 2]], "path": [["s1", value]]}
+        with pytest.raises(QueryError, match="must be an integer"):
+            QueryRequest.from_dict(wire)
+
+    def test_integral_values_accepted(self):
+        """Integral floats and NumPy integers name the cell they equal."""
+        request = QueryRequest.backward(
+            [(np.int32(1), 2.0)], [("s1", np.int64(0))]
+        )
+        assert request.cells == ((1, 2),)
+        assert request.path == (("s1", 0),)
+        assert QueryRequest.backward(np.asarray([[1, 2]]), ["s1"]) == request
+
+    def test_endpoint_errors_name_the_request_field(self, flushed):
+        sz = self._engine(flushed)
+        cases = [
+            (QueryRequest.backward([(1, 1)], start="nope", end="img"), "unknown start node"),
+            (QueryRequest.backward([(1, 1)], start="s2", end="nope"), "unknown end 'nope'"),
+            (QueryRequest.forward([(1, 1)], start="nope", end="s2"), "unknown start 'nope'"),
+            (QueryRequest.forward([(1, 1)], start="img", end="nope"), "unknown end node"),
+            (QueryRequest.forward([(1, 1)], start="s2", end="img"), "unknown end node 'img'"),
+            (QueryRequest.backward([(1, 1)], start="s1", end="s3"), "no dataflow path"),
+        ]
+        for request, message in cases:
+            with pytest.raises(QueryError, match=message):
+                sz.query(request)
+
     @settings(max_examples=150, deadline=None)
     @given(obj=_JSON_VALUES | _MUTATED_REQUESTS)
     # every failure this property found, pinned
@@ -647,10 +727,17 @@ class TestRequestRoundTrip:
     @example(obj={"direction": "forward", "cells": [[float("inf"), 1]], "path": [["s1", 0]]})
     @example(obj={"direction": "backward", "cells": [[1, 2]], "start": ["x"], "end": "img"})
     @example(obj={"direction": "forward", "cells": [[1, 2]], "start": "img", "end": 7})
+    # non-integer coordinates, once truncated to cell (1, 2) or (3, 2)
+    @example(obj={"direction": "backward", "cells": [[1.7, 2]], "path": [["s1", 0]]})
+    @example(obj={"direction": "backward", "cells": [[True, 2]], "path": [["s1", 0]]})
+    @example(obj={"direction": "backward", "cells": [["3", 2]], "path": [["s1", 0]]})
+    # a cell with no coordinates, once accepted as a zero-dimensional cell
+    @example(obj={"direction": "backward", "cells": [""], "path": [["s1", 0]]})
     def test_from_dict_returns_request_or_raises_query_error(self, obj):
         """Any JSON value: a request comes back, or a typed QueryError —
         never a raw Python exception the daemon would drop the connection
-        over."""
+        over.  An accepted request carries exactly the values it was sent
+        (bools, strings and fractional floats are never coerced)."""
         try:
             request = QueryRequest.from_dict(obj)
         except QueryError:
@@ -658,6 +745,12 @@ class TestRequestRoundTrip:
         assert isinstance(request, QueryRequest)
         assert request.start is None or isinstance(request.start, str)
         assert request.end is None or isinstance(request.end, str)
+        sent = [v for row in obj["cells"] for v in row]
+        sent += [i for _, i in obj.get("path") or ()]
+        assert not any(isinstance(v, (bool, str)) for v in sent)
+        wire = request.to_dict()
+        assert wire["cells"] == obj["cells"]
+        assert wire.get("path") == obj.get("path")
 
     def test_canonical_result_strips_diagnostics_only(self, flushed):
         with _resume_engine(flushed) as sz:
@@ -671,20 +764,10 @@ class TestRequestRoundTrip:
             assert structural <= set(canon["steps"][0])
 
 
-# -- deprecated kwargs shim ----------------------------------------------------
+# -- query sugar ---------------------------------------------------------------
 
 
 class TestDeprecatedOverrides:
-    def test_overrides_warn_and_still_apply(self, flushed):
-        with _resume_engine(flushed) as sz:
-            request = QueryRequest.backward([(5, 5)], ["s2", "s1"], entire_array=False)
-            expected = canonical_result(sz.query(request).to_dict())
-            with pytest.warns(DeprecationWarning, match="entire_array=False"):
-                legacy = sz.backward_query(
-                    [(5, 5)], ["s2", "s1"], enable_entire_array=False
-                )
-            assert canonical_result(legacy.to_dict()) == expected
-
     def test_unknown_override_raises_type_error(self, flushed):
         with _resume_engine(flushed) as sz:
             with pytest.raises(TypeError, match="unexpected keyword"):

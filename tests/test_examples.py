@@ -17,6 +17,7 @@ EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
         "optimizer_tour.py",
         "custom_udf.py",
         "partitioned_catalog.py",
+        "daemon_quickstart.py",
     ],
 )
 def test_example_runs(script, capsys, monkeypatch):

@@ -1,7 +1,6 @@
 """Tests for the convenience/robustness extensions: path inference,
 query explain, cost calibration, stats persistence, and WAL recovery."""
 
-import numpy as np
 import pytest
 
 from repro import FULL_ONE_B, SciArray, SubZero, VersionStore, WorkflowSpec, ops
@@ -116,7 +115,7 @@ class TestStatsPersistence:
         assert restored.input_sizes == original.input_sizes
 
     def test_loaded_stats_drive_optimizer(self, tmp_path, image):
-        from repro.core.model import Direction, LineageQuery
+        from repro.core.query import QueryRequest
 
         sz = SubZero(build_spot_spec())
         sz.use_mapping_where_possible()
@@ -128,11 +127,7 @@ class TestStatsPersistence:
         sz2 = SubZero(build_spot_spec())
         sz2.use_mapping_where_possible()
         sz2.stats._stats = StatsCollector.load(path)._stats
-        query = LineageQuery(
-            np.asarray([[3, 3]]),
-            (("scale", 0), ("spot", 0), ("smooth", 0)),
-            Direction.BACKWARD,
-        )
+        query = QueryRequest.backward([(3, 3)], (("scale", 0), ("spot", 0), ("smooth", 0)))
         result = sz2.optimize([query], max_disk_bytes=1e8)
         assert "spot" in result.plan
 
@@ -152,10 +147,12 @@ class TestWalRecovery:
         recovered = recover_instance(fresh_spec, versions, wal)
         assert recovered.output_array("scale").shape == image.shape
 
-        from repro.core.query import QueryExecutor
+        from repro.core.query import QueryExecutor, QueryRequest
 
         executor = QueryExecutor(recovered, LineageRuntime())
-        res = executor.backward([(4, 4)], [("scale", 0), ("spot", 0), ("smooth", 0)])
+        res = executor.execute_request(
+            QueryRequest.backward([(4, 4)], [("scale", 0), ("spot", 0), ("smooth", 0)])
+        )
         assert res.count >= 1
 
     def test_recovery_matches_original_lineage(self, image):
@@ -163,15 +160,14 @@ class TestWalRecovery:
         original = execute_workflow(
             build_spot_spec(), {"img": image}
         )
-        from repro.core.query import QueryExecutor
+        from repro.core.query import QueryExecutor, QueryRequest
 
-        a = QueryExecutor(original, LineageRuntime()).backward(
+        request = QueryRequest.backward(
             [(4, 4)], [("scale", 0), ("spot", 0), ("smooth", 0)]
         )
+        a = QueryExecutor(original, LineageRuntime()).execute_request(request)
         recovered = recover_instance(build_spot_spec(), versions, wal)
-        b = QueryExecutor(recovered, LineageRuntime()).backward(
-            [(4, 4)], [("scale", 0), ("spot", 0), ("smooth", 0)]
-        )
+        b = QueryExecutor(recovered, LineageRuntime()).execute_request(request)
         assert {tuple(c) for c in a.coords} == {tuple(c) for c in b.coords}
 
     def test_partial_wal_rejected(self, image):

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.model import (
     BufferSink,
-    Direction,
     ElementwiseBatch,
     Frontier,
-    LineageQuery,
     PayloadBatch,
     QueryStep,
     RegionBatch,
@@ -25,6 +23,7 @@ from repro.core.modes import (
     Orientation,
     StorageStrategy,
 )
+from repro.core.query import QueryRequest
 from repro.errors import LineageError, QueryError
 
 
@@ -181,18 +180,18 @@ class TestFrontier:
 
 
 class TestLineageQuery:
+    """The §IV query form, ``execute_query(C, ((P1, idx1), ...))``, as a
+    :class:`QueryRequest`."""
+
     def test_path_coercion(self):
-        q = LineageQuery(
-            cells=cells((0, 0)),
-            path=(("n1", 0), QueryStep("n2", 1)),
-            direction=Direction.BACKWARD,
+        q = QueryRequest.backward(cells((0, 0)), (("n1", 0), QueryStep("n2", 1), "n3"))
+        assert q.resolve_path(spec=None) == (
+            QueryStep("n1", 0), QueryStep("n2", 1), QueryStep("n3", 0)
         )
-        assert q.path[0] == QueryStep("n1", 0)
-        assert q.path[1].input_idx == 1
 
     def test_empty_path_rejected(self):
         with pytest.raises(QueryError):
-            LineageQuery(cells=cells((0, 0)), path=(), direction=Direction.FORWARD)
+            QueryRequest.forward(cells((0, 0)), ())
 
 
 class TestStorageStrategy:

@@ -26,7 +26,7 @@ from repro.core.modes import (
     PAY_ONE_B,
 )
 from repro.errors import LineageError, StorageError
-from repro.storage import serialize as ser
+from repro.storage import codecs
 
 OUT_SHAPE = (6, 8)
 IN_SHAPES = ((6, 8),)
@@ -76,7 +76,7 @@ class TestSingletonEncoding:
         values = np.asarray([0, 7, 123456, 2**40])
         rows = encode_singleton_int_arrays(values)
         for row, v in zip(rows, values):
-            assert row.tobytes() == ser.encode_int_array(np.asarray([v]))
+            assert row.tobytes() == codecs.encode_cells(np.asarray([v]))
 
     @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40))
     @settings(max_examples=100, deadline=None)
@@ -89,10 +89,10 @@ class TestSingletonEncoding:
         rows = encode_singleton_int_arrays(arr)
         assert rows.shape == (arr.size, 12)
         for row, v in zip(rows, arr):
-            scalar = ser.encode_int_array(np.asarray([v], dtype=np.int64))
+            scalar = codecs.encode_cells(np.asarray([v], dtype=np.int64))
             assert len(scalar) == 12
             assert row.tobytes() == scalar
-            decoded, pos = ser.decode_int_array(row.tobytes())
+            decoded, pos = codecs.decode_cells(row.tobytes())
             assert decoded.tolist() == [v] and pos == 12
 
     def test_full_value_roundtrip(self):
@@ -170,8 +170,8 @@ class TestRegionEntryTable:
         table = RegionEntryTable(OUT_SHAPE)
         cells_a = np.sort(pk((1, 1), (1, 2), (1, 3)))
         cells_b = np.sort(pk((4, 0), (5, 7)))
-        table.add_entry(pk((0, 0)), ser.encode_int_array(cells_a))
-        table.add_entry(pk((2, 2)), ser.encode_int_array(cells_b))
+        table.add_entry(pk((0, 0)), codecs.encode_cells(cells_a))
+        table.add_entry(pk((2, 2)), codecs.encode_cells(cells_b))
         query = np.sort(pk((1, 2), (5, 7)))
         assert table.value_contains_any(0, query)
         assert table.value_contains_any(1, query)
@@ -195,20 +195,20 @@ class TestRegionEntryTable:
         """A field index past the entry's own value must fail loudly, not
         silently probe the next entry's bytes."""
         table = RegionEntryTable(OUT_SHAPE)
-        table.add_entry(pk((0, 0)), ser.encode_int_array(np.sort(pk((1, 1)))))
-        table.add_entry(pk((2, 2)), ser.encode_int_array(np.sort(pk((3, 3)))))
+        table.add_entry(pk((0, 0)), codecs.encode_cells(np.sort(pk((1, 1)))))
+        table.add_entry(pk((2, 2)), codecs.encode_cells(np.sort(pk((3, 3)))))
         with pytest.raises(StorageError):
             table.value_contains_any(0, np.sort(pk((3, 3))), field=1)
 
     def test_probe_rejects_value_overrunning_entry(self):
         """A value whose header claims more payload than the entry holds
         (bit rot after load) must raise, not read the next entry's bytes."""
-        good = ser.encode_int_array(np.sort(pk((1, 1), (1, 2))))
+        good = codecs.encode_cells(np.sort(pk((1, 1), (1, 2))))
         overstated = bytearray(good)
         overstated[2] = 9  # inflate the cell count past the payload
         table = RegionEntryTable(OUT_SHAPE)
         table.add_entry(pk((0, 0)), bytes(overstated))
-        table.add_entry(pk((2, 2)), ser.encode_int_array(np.sort(pk((3, 3)))))
+        table.add_entry(pk((2, 2)), codecs.encode_cells(np.sort(pk((3, 3)))))
         with pytest.raises(StorageError):
             table.value_contains_any(0, np.sort(pk((1, 1))))
 

@@ -248,17 +248,24 @@ class TestScatterRouting:
         sz.flush_lineage(d, partitions=4)
         sz.load_lineage(d)
         try:
+            targeted = QueryRequest.backward([(0, 0)], ["spot"])
+            broadcast = QueryRequest.backward([(0, 0)], ["spot", "smooth"])
             # single-node path on a mapped node: targeted plan
-            sz.query(QueryRequest.backward([(0, 0)], ["spot"]))
+            sz.query(targeted)
             stats = sz.runtime.serving_stats()
             assert stats["scatter_queries"] == 1
             assert stats["scatter_broadcasts"] == 0
             assert stats["scatter_partitions_matched"] == 1
             # path through an unflushed node: broadcast plan
-            sz.query(QueryRequest.backward([(0, 0)], ["spot", "smooth"]))
+            sz.query(broadcast)
             stats = sz.runtime.serving_stats()
             assert stats["scatter_queries"] == 2
             assert stats["scatter_broadcasts"] == 1
+            # a served batch takes the same route, one plan per request
+            sz.serve([targeted, broadcast], max_workers=2)
+            stats = sz.runtime.serving_stats()
+            assert stats["scatter_queries"] == 4
+            assert stats["scatter_broadcasts"] == 2
         finally:
             sz.close()
 

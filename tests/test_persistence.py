@@ -85,11 +85,9 @@ class TestRegionEntryTableRoundtrip:
         path = str(tmp_path / "legacy.bin")
         table.flush(path)
 
-        from repro.storage import serialize as ser
-
         loaded = RegionEntryTable.load(path, SHAPE)
         assert loaded.entry_value(0) == legacy_value
-        decoded, _ = ser.decode_int_array(loaded.entry_value(0))
+        decoded, _ = codecs.decode_cells(loaded.entry_value(0))
         assert (decoded == in_cells).all()
         assert loaded.value_contains_any(0, in_cells[:1])
         assert loaded.value_bounds(0) == (int(in_cells[0]), int(in_cells[-1]), 3)

@@ -30,6 +30,7 @@ from repro import (
     FULL_MANY_B,
     FULL_ONE_B,
     PAY_ONE_B,
+    QueryRequest,
     QuerySession,
     SciArray,
     SubZero,
@@ -84,11 +85,15 @@ def _mixed_queries(rng, shape, n_each: int = 2):
     return jobs
 
 
-def _run_job(sz: SubZero, job, **overrides):
+def _request(job) -> QueryRequest:
     kind, cells, path = job
     if kind == "b":
-        return sz.backward_query(cells, path, **overrides)
-    return sz.forward_query(cells, path, **overrides)
+        return QueryRequest.backward(cells, path)
+    return QueryRequest.forward(cells, path)
+
+
+def _run_job(sz: SubZero, job, session=None):
+    return sz.query(_request(job), session=session)
 
 
 def _coords_set(result):
@@ -188,18 +193,9 @@ class TestThreadedServing:
 
     def test_serve_threadpool_matches_baseline(self, flushed_workflow):
         """The facade path: SubZero.serve() on a thread pool, hot cache."""
-        from repro.core.model import Direction, LineageQuery, QueryStep
-
         jobs = flushed_workflow["jobs"]
         baseline = flushed_workflow["baseline"]
-        queries = [
-            LineageQuery(
-                cells=np.asarray(job[1]),
-                path=tuple(QueryStep(n, 0) for n in job[2]),
-                direction=Direction.BACKWARD if job[0] == "b" else Direction.FORWARD,
-            )
-            for job in jobs
-        ]
+        queries = [_request(job) for job in jobs]
         with _resume_engine(flushed_workflow) as sz:
             pool = ThreadPoolExecutor(max_workers=1)
             try:
