@@ -90,6 +90,11 @@ class PeakDetect(Operator):
         return C.as_coord_array(in_coords, ndim=2)
 
     # -- 4. expand payloads at query time (Table I: map_p) ----------------------
+    # map_p_many must return the union of map_p(cell, payload) over its
+    # cells: queries expand every cell sharing a payload in one call, and a
+    # forward scan tests whole blocks of cells at once, splitting only the
+    # blocks whose union meets the query.  A dilation like this one is a
+    # union; so is any expansion that depends on the payload alone.
 
     def map_p_many(self, out_coords, payload, input_idx):
         radius = payload[0]

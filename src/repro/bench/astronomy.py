@@ -202,24 +202,6 @@ class CosmicRayDetect(Operator):
         offsets = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
         return dilate_coords(out_coords, offsets, self.input_shapes[0])
 
-    def map_p_batch(self, out_coords, payloads, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=2)
-        radii = _payload_first_bytes(payloads)
-        pieces, rows = [], []
-        for radius in np.unique(radii):
-            idx = np.nonzero(radii == radius)[0]
-            if radius == 0:
-                pieces.append(out_coords[idx])
-                rows.append(idx)
-                continue
-            for i in idx:  # exact per-cell neighbourhoods
-                cells = self.map_p_many(out_coords[i: i + 1], bytes([radius]), input_idx)
-                pieces.append(cells)
-                rows.append(np.full(cells.shape[0], i, dtype=np.int64))
-        if not pieces:
-            return C.empty_coords(2), np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces), np.concatenate([np.atleast_1d(r) for r in rows])
-
     def runtime_cost_hint(self) -> float:
         return 8.0
 
@@ -303,26 +285,6 @@ class CosmicRayRemove(Operator):
         )
         offsets = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
         return dilate_coords(out_coords, offsets, self.input_shapes[0])
-
-    def map_p_batch(self, out_coords, payloads, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=2)
-        radii = _payload_first_bytes(payloads)
-        if input_idx != 0:
-            return out_coords, np.arange(out_coords.shape[0], dtype=np.int64)
-        pieces, rows = [], []
-        for radius in np.unique(radii):
-            idx = np.nonzero(radii == radius)[0]
-            if radius == 0:
-                pieces.append(out_coords[idx])
-                rows.append(idx)
-                continue
-            for i in idx:
-                cells = self.map_p_many(out_coords[i: i + 1], bytes([radius]), input_idx)
-                pieces.append(cells)
-                rows.append(np.full(cells.shape[0], i, dtype=np.int64))
-        if not pieces:
-            return C.empty_coords(2), np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces), np.concatenate([np.atleast_1d(r) for r in rows])
 
     def runtime_cost_hint(self) -> float:
         return 8.0
@@ -449,12 +411,6 @@ class StarDetect(Operator):
 
     def runtime_cost_hint(self) -> float:
         return 6.0
-
-
-def _payload_first_bytes(payloads) -> np.ndarray:
-    if isinstance(payloads, np.ndarray):
-        return payloads[:, 0].astype(np.int64)
-    return np.asarray([p[0] for p in payloads], dtype=np.int64)
 
 
 def build_spec() -> WorkflowSpec:

@@ -176,7 +176,7 @@ class ExtractFeatures(Operator, _PayloadCoordMixin):
         packed = np.frombuffer(payload, dtype="<i8").astype(np.int64)
         return C.unpack_coords(packed, self.input_shapes[0])
 
-    def map_p_batch(self, out_coords, payloads, input_idx):
+    def map_p_batch(self, out_coords, payloads, input_idx, within=None):
         packed = self._unpack_payloads(payloads)
         cells = C.unpack_coords(packed, self.input_shapes[0])
         return cells, np.arange(cells.shape[0], dtype=np.int64)
@@ -339,7 +339,7 @@ class Predict(Operator):
         row = int(np.frombuffer(payload[:8], dtype="<i8")[0])
         return self._row_cells(row)
 
-    def map_p_batch(self, out_coords, payloads, input_idx):
+    def map_p_batch(self, out_coords, payloads, input_idx, within=None):
         out_coords = C.as_coord_array(out_coords, ndim=2)
         n = out_coords.shape[0]
         if input_idx == 0:

@@ -873,12 +873,8 @@ class OpLineageStore:
     def payload_entries(self) -> tuple[np.ndarray, np.ndarray, bytes, np.ndarray]:
         """Columnar view of every payload entry: ``(keys, koff, vbuf, voff)``
         where entry ``e`` owns key cells ``keys[koff[e]:koff[e+1]]`` and
-        payload bytes ``vbuf[voff[e]:voff[e+1]]``.
-
-        This replaces the old per-entry cursor: a mismatched payload scan
-        batches over the columns (one vectorised key-length split, one
-        ``map_p`` batch for the single-cell entries) instead of looping a
-        Python generator over every stored entry.
+        payload bytes ``vbuf[voff[e]:voff[e+1]]``; a mismatched payload scan
+        expands them all in one ``map_p`` batch.
         """
         raise LineageError(f"{self.strategy.label} stores no payload entries")
 

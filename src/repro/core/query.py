@@ -40,7 +40,7 @@ from repro.core.modes import BLACKBOX, LineageMode, Orientation, StorageStrategy
 from repro.core.reexec import ReExecutor
 from repro.core.runtime import LineageRuntime
 from repro.errors import CoordinateError, QueryError, WorkflowError
-from repro.ops.base import Operator
+from repro.ops.base import Operator, payload_entry_hits, payload_union
 from repro.workflow.instance import WorkflowInstance
 
 __all__ = [
@@ -764,38 +764,16 @@ class QueryExecutor:
     ) -> np.ndarray:
         rows = store.backward_payload_rows(qpacked)
         if rows is not None:
-            # One-entry-per-cell layout: expand every hit in one vectorised
-            # map_p batch instead of grouping pair objects.
             matched, hit_packed, payloads = rows
-            parts = []
-            if hit_packed.size:
-                coords = C.unpack_coords(hit_packed, out_shape)
-                cells, _ = op.map_p_batch(coords, payloads, idx)
-                parts.append(C.pack_coords(cells, in_shape))
-            if strategy.mode is LineageMode.COMP:
-                unmatched = qpacked[~matched]
-                if unmatched.size:
-                    coords = C.unpack_coords(unmatched, out_shape)
-                    parts.append(C.pack_coords(op.map_b_many(coords, idx), in_shape))
-            if not parts:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(parts)
-        matched, pairs = store.backward_payload(qpacked)
+        else:
+            # multi-cell entries: every hit cell carries its pair's payload
+            matched, pairs = store.backward_payload(qpacked)
+            hit_packed = np.concatenate([c for c, _ in pairs] or [np.empty(0, dtype=np.int64)])
+            payloads = [payload for cells, payload in pairs for _ in range(cells.size)]
         parts: list[np.ndarray] = []
-        single_coords: list[np.ndarray] = []
-        single_payloads: list[bytes] = []
-        for cells_packed, payload in pairs:
-            coords = C.unpack_coords(cells_packed, out_shape)
-            if coords.shape[0] == 1:
-                single_coords.append(coords)
-                single_payloads.append(payload)
-            else:
-                cells = op.map_p_many(coords, payload, idx)
-                parts.append(C.pack_coords(cells, in_shape))
-        if single_coords:
-            coords = np.concatenate(single_coords)
-            cells, _ = op.map_p_batch(coords, single_payloads, idx)
-            parts.append(C.pack_coords(cells, in_shape))
+        if hit_packed.size:
+            coords = C.unpack_coords(hit_packed, out_shape)
+            parts.append(C.pack_coords(payload_union(op, coords, payloads, idx), in_shape))
         if strategy.mode is LineageMode.COMP:
             unmatched = qpacked[~matched]
             if unmatched.size:
@@ -816,55 +794,19 @@ class QueryExecutor:
         in_shape: tuple[int, ...],
         budget: _Budget | None,
     ) -> np.ndarray:
-        query = np.sort(qpacked)
         parts: list[np.ndarray] = []
-        # columnar scan surface: one key-length split over the whole store,
-        # then one vectorised map_p batch for the single-cell entries —
-        # the per-entry cursor loop this path used to run is gone
+        # columnar scan surface: every stored cell is one row of a single
+        # map_p batch that group-tests rows sharing a payload
         keys, koff, vbuf, voff = store.payload_entries()
         if budget is not None:
             budget.tick()
-        n_entries = koff.size - 1
-        if n_entries:
-            klens = np.diff(koff)
-            single = np.flatnonzero(klens == 1)
-            multi = np.flatnonzero(klens != 1)
-            if single.size:
-                out_packed = np.asarray(keys[koff[single]], dtype=np.int64)
-                starts = voff[single]
-                vlens = voff[single + 1] - starts
-                width = int(vlens[0])
-                if (vlens == width).all():
-                    # fixed-width payloads: one fancy-indexed gather into an
-                    # (n, width) matrix, no per-entry byte slicing
-                    raw = np.frombuffer(vbuf, dtype=np.uint8)
-                    payloads = raw[starts[:, None] + np.arange(width, dtype=np.int64)]
-                else:
-                    payloads = [bytes(vbuf[voff[e]: voff[e + 1]]) for e in single]
-                coords = C.unpack_coords(out_packed, out_shape)
-                cells, rows = op.map_p_batch(coords, payloads, idx)
-                inp = C.pack_coords(cells, in_shape)
-                hit_rows = np.unique(rows[C.isin_sorted(inp, query)])
-                if hit_rows.size:
-                    parts.append(out_packed[hit_rows])
-            for e in multi:
-                # multi-cell region-pair payloads: map_p is op-defined per
-                # pair, so these few entries keep a per-pair call
-                if budget is not None:
-                    budget.tick()
-                e = int(e)
-                out_packed = np.asarray(keys[koff[e]: koff[e + 1]], dtype=np.int64)
-                payload = bytes(vbuf[voff[e]: voff[e + 1]])
-                coords = C.unpack_coords(out_packed, out_shape)
-                if op.payload_uniform:
-                    cells = op.map_p_many(coords, payload, idx)
-                    if C.isin_sorted(C.pack_coords(cells, in_shape), query).any():
-                        parts.append(out_packed)
-                else:
-                    for i in range(coords.shape[0]):
-                        cells = op.map_p_many(coords[i: i + 1], payload, idx)
-                        if C.isin_sorted(C.pack_coords(cells, in_shape), query).any():
-                            parts.append(out_packed[i: i + 1])
+        if koff.size > 1:
+            keys = np.asarray(keys, dtype=np.int64)
+            hit = payload_entry_hits(
+                op, C.unpack_coords(keys, out_shape), koff, vbuf, voff, idx, np.sort(qpacked)
+            )
+            if hit.size:
+                parts.append(keys[hit])
         if strategy.mode is LineageMode.COMP:
             coords = C.unpack_coords(qpacked, in_shape)
             default = C.pack_coords(op.map_f_many(coords, idx), out_shape)

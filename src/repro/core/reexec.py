@@ -22,7 +22,7 @@ from repro.arrays import coords as C
 from repro.core.model import BufferSink
 from repro.core.modes import LineageMode
 from repro.core.stats import StatsCollector
-from repro.ops.base import LineageContext, Operator
+from repro.ops.base import LineageContext, Operator, payload_entry_hits, payload_union
 from repro.workflow.instance import WorkflowInstance
 
 __all__ = ["ReExecutor", "join_sink_backward", "join_sink_forward"]
@@ -156,8 +156,7 @@ def join_sink_backward(
             if isinstance(pbatch.payloads, np.ndarray)
             else [p for p, m in zip(pbatch.payloads, mask) if m]
         )
-        cells, _ = op.map_p_batch(coords, payloads, input_idx)
-        parts.append(C.pack_coords(cells, in_shape))
+        parts.append(C.pack_coords(payload_union(op, coords, payloads, input_idx), in_shape))
     for rb in sink.region_batches:
         outp = C.pack_coords(rb.out_coords, out_shape)
         hit_mask = C.isin_sorted(outp, query)
@@ -168,16 +167,11 @@ def join_sink_backward(
             np.arange(rb.count, dtype=np.int64), np.diff(rb.out_offsets)
         )
         if rb.is_payload:
-            # map_p is op-defined per pair: one call per *hit* pair over its
-            # hit cells (owner ascends, so a pair's hits are contiguous)
-            hit_coords = rb.out_coords[hit_mask]
-            pairs, starts = np.unique(owner[hit_mask], return_index=True)
-            ends = np.append(starts[1:], hit_coords.shape[0])
+            # every hit cell carries its pair's payload
             poff = rb.payload_offsets
-            for pair, lo, hi in zip(pairs, starts, ends):
-                payload = rb.payloads[poff[pair] : poff[pair + 1]]
-                cells = op.map_p_many(hit_coords[lo:hi], payload, input_idx)
-                parts.append(C.pack_coords(cells, in_shape))
+            payloads = [rb.payloads[poff[p]: poff[p + 1]] for p in owner[hit_mask]]
+            cells = payload_union(op, rb.out_coords[hit_mask], payloads, input_idx)
+            parts.append(C.pack_coords(cells, in_shape))
             continue
         hit_pairs = np.zeros(rb.count, dtype=bool)
         hit_pairs[owner[hit_mask]] = True
@@ -219,27 +213,21 @@ def join_sink_forward(
         outp = C.pack_coords(pbatch.outcells, out_shape)
         covered_parts.append(outp)
         coords = C.as_coord_array(pbatch.outcells)
-        cells, rows = op.map_p_batch(coords, pbatch.payloads, input_idx)
+        cells, rows = op.map_p_batch(coords, pbatch.payloads, input_idx, within=query)
         inp = C.pack_coords(cells, in_shape)
-        hit_rows = np.unique(rows[np.isin(inp, query)])
+        hit_rows = np.unique(rows[C.isin_sorted(inp, query)])
         if hit_rows.size:
             parts.append(outp[hit_rows])
     for rb in sink.region_batches:
         if rb.is_payload:
             outp = C.pack_coords(rb.out_coords, out_shape)
             covered_parts.append(outp)
-            ooff, poff = rb.out_offsets, rb.payload_offsets
-            for pair in range(rb.count):
-                payload = rb.payloads[poff[pair] : poff[pair + 1]]
-                # map_p is op-defined per pair: a payload-uniform operator
-                # is asked once per pair, any other once per output cell
-                step = ooff[pair + 1] - ooff[pair] if op.payload_uniform else 1
-                for lo in range(ooff[pair], ooff[pair + 1], step):
-                    cells = op.map_p_many(
-                        rb.out_coords[lo : lo + step], payload, input_idx
-                    )
-                    if C.isin_sorted(C.pack_coords(cells, in_shape), query).any():
-                        parts.append(outp[lo : lo + step])
+            hit = payload_entry_hits(
+                op, rb.out_coords, rb.out_offsets, rb.payloads, rb.payload_offsets,
+                input_idx, query,
+            )
+            if hit.size:
+                parts.append(outp[hit])
             continue
         inp = C.pack_coords(rb.in_coords[input_idx], in_shape)
         mask = C.isin_sorted(inp, query)

@@ -38,7 +38,7 @@ from repro.core.model import (
 from repro.core.modes import LineageMode
 from repro.errors import LineageError, OperatorError
 
-__all__ = ["LineageContext", "Operator"]
+__all__ = ["LineageContext", "Operator", "payload_entry_hits", "payload_union"]
 
 
 class LineageContext:
@@ -330,7 +330,12 @@ class Operator:
     def map_p_many(
         self, out_coords: np.ndarray, payload: bytes, input_idx: int
     ) -> np.ndarray:
-        """Expand a payload pair back into input cells (``map_p`` in Table I)."""
+        """Expand a payload pair back into input cells (``map_p`` in Table I).
+
+        Must return the union of ``map_p(c, payload)`` over the rows ``c`` of
+        ``out_coords``: queries expand all cells that share a payload in one
+        call, and forward scans group-test blocks of rows (:meth:`map_p_batch`).
+        """
         raise LineageError(f"{self.name} defines no payload mapping function")
 
     #: True when ``map_p`` returns the same input cells for every output
@@ -339,29 +344,52 @@ class Operator:
     payload_uniform: bool = False
 
     def map_p_batch(
-        self, out_coords: np.ndarray, payloads, input_idx: int
+        self, out_coords: np.ndarray, payloads, input_idx: int, within=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Row-wise ``map_p``: output cell ``i`` carries ``payloads[i]``.
 
         Returns ``(in_coords, row_idx)`` where ``in_coords[j]`` belongs to
-        output row ``row_idx[j]``.  The default loops over rows calling
-        :meth:`map_p_many`; operators with fixed-width payloads should
-        override with a vectorised implementation.
+        output row ``row_idx[j]``.  Given ``within`` (ascending packed cells
+        of input ``input_idx``) the result may omit any row whose lineage
+        misses it; each row it keeps carries exactly its own cells.  The
+        default groups rows by payload and then group-tests: one
+        :meth:`map_p_many` call drops a block whose union misses ``within``,
+        and a block that meets it is halved down to single rows.  Without
+        ``within`` it asks once per row.  Overrides may ignore ``within``.
         """
         out_coords = C.as_coord_array(out_coords)
-        pieces: list[np.ndarray] = []
-        rows: list[np.ndarray] = []
-        for i in range(out_coords.shape[0]):
-            if isinstance(payloads, np.ndarray):
-                payload = payloads[i].tobytes()
+        found: list[tuple[int, np.ndarray]] = []
+        for payload, rows in _payload_groups(payloads, out_coords.shape[0]):
+            # (block, meets ``within`` for sure, is a left half): a block is
+            # dropped when its union misses ``within`` and halved on a hit; a
+            # left half that misses proves its right sibling hits unasked
+            if within is None:
+                blocks = [(row, True, False) for row in rows.reshape(-1, 1)]
             else:
-                payload = payloads[i]
-            cells = self.map_p_many(out_coords[i: i + 1], payload, input_idx)
-            pieces.append(cells)
-            rows.append(np.full(cells.shape[0], i, dtype=np.int64))
-        if not pieces:
+                blocks = [(rows, False, False)]
+            while blocks:
+                block, sure, left = blocks.pop()
+                if not sure or block.size == 1:
+                    cells = self.map_p_many(out_coords[block], payload, input_idx)
+                    if not sure and not C.isin_sorted(
+                        C.pack_coords(cells, self.input_shapes[input_idx]), within
+                    ).any():
+                        if left:
+                            blocks[-1] = (blocks[-1][0], True, False)
+                        continue
+                if block.size == 1:
+                    found.append((int(block[0]), cells))
+                else:
+                    half = block.size // 2
+                    blocks += [(block[half:], False, False), (block[:half], False, True)]
+        found.sort(key=lambda item: item[0])
+        if not found:
             return C.empty_coords(out_coords.shape[1]), np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces), np.concatenate(rows)
+        rows = np.repeat(
+            np.asarray([i for i, _ in found], dtype=np.int64),
+            [cells.shape[0] for _, cells in found],
+        )
+        return np.concatenate([cells for _, cells in found]), rows
 
     # -- scalar conveniences matching the paper's signatures ------------------------
 
@@ -383,3 +411,84 @@ class Operator:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} arity={self.arity}>"
+
+
+
+def _payload_groups(payloads, n: int) -> list[tuple[bytes, np.ndarray]]:
+    """``(payload, ascending rows)`` per distinct payload of ``n`` rows, from
+    an ``(n, width)`` matrix (one ``np.unique`` over rows viewed as void) or
+    a list of bytes."""
+    if n == 0:
+        return []
+    if isinstance(payloads, np.ndarray):
+        if payloads.size == 0:  # zero-width payloads
+            return [(b"", np.arange(n, dtype=np.int64))]
+        matrix = np.ascontiguousarray(payloads).reshape(n, -1)
+        rowbytes = matrix.view(np.dtype((np.void, matrix.shape[1] * matrix.itemsize)))
+        distinct, inverse = np.unique(rowbytes.ravel(), return_inverse=True)
+        keys = [d.tobytes() for d in distinct]
+    else:
+        index: dict[bytes, int] = {}
+        inverse = np.asarray([index.setdefault(bytes(p), len(index)) for p in payloads])
+        keys = list(index)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.searchsorted(inverse[order], np.arange(len(keys) + 1))
+    return [(key, order[bounds[g]: bounds[g + 1]]) for g, key in enumerate(keys)]
+
+
+def payload_union(op: Operator, out_coords: np.ndarray, payloads, input_idx: int) -> np.ndarray:
+    """Union of every row's payload lineage (a backward expansion): one
+    :meth:`Operator.map_p_many` call per payload shared by several rows, one
+    :meth:`Operator.map_p_batch` call for the rows whose payload is their own
+    (so a vectorised override still serves distinct-per-row payloads)."""
+    out_coords = C.as_coord_array(out_coords)
+    groups = _payload_groups(payloads, out_coords.shape[0])
+    parts = [
+        op.map_p_many(out_coords[rows], payload, input_idx)
+        for payload, rows in groups
+        if rows.size > 1
+    ]
+    singles = np.sort(np.asarray([rows[0] for _, rows in groups if rows.size == 1], dtype=np.int64))
+    if singles.size:
+        if isinstance(payloads, np.ndarray):
+            picked = payloads[singles]
+        else:
+            picked = [payloads[i] for i in singles]
+        parts.append(op.map_p_batch(out_coords[singles], picked, input_idx)[0])
+    return np.concatenate(parts) if parts else C.empty_coords(out_coords.shape[1])
+
+
+def payload_entry_hits(
+    op: Operator, out_coords: np.ndarray, out_offsets, vbuf, voff, input_idx: int, within
+) -> np.ndarray:
+    """Indices of the ``out_coords`` rows whose payload lineage meets the
+    ascending packed ``within`` (a forward scan over payload entries).
+
+    Entry ``e`` owns rows ``out_offsets[e]:out_offsets[e+1]`` and payload
+    ``vbuf[voff[e]:voff[e+1]]``.  Every row goes into one
+    :meth:`Operator.map_p_batch` call carrying its entry's payload; a
+    ``payload_uniform`` operator answers a whole entry from its first row.
+    """
+    out_offsets = np.asarray(out_offsets, dtype=np.int64)
+    voff = np.asarray(voff, dtype=np.int64)
+    klens = np.diff(out_offsets)
+    if op.payload_uniform:
+        entry = np.flatnonzero(klens)
+        first = out_offsets[entry]
+    else:
+        entry = np.repeat(np.arange(klens.size), klens)
+        first = np.arange(out_offsets[0], out_offsets[-1])
+    if entry.size == 0:
+        return np.empty(0, dtype=np.int64)
+    starts, vlens = voff[entry], np.diff(voff)[entry]
+    if (vlens == vlens[0]).all():  # fixed width: one gather into an (n, width) matrix
+        raw = np.frombuffer(vbuf, dtype=np.uint8)
+        payloads = raw[starts[:, None] + np.arange(vlens[0])]
+    else:
+        payloads = [bytes(vbuf[s: s + k]) for s, k in zip(starts, vlens)]
+    cells, rows = op.map_p_batch(out_coords[first], payloads, input_idx, within=within)
+    cells = C.pack_coords(cells, op.input_shapes[input_idx])
+    hit = np.unique(rows[C.isin_sorted(cells, within)])
+    if not op.payload_uniform:
+        return first[hit]
+    return C.expand_ranges(out_offsets[entry[hit]], klens[entry[hit]])

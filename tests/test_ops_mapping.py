@@ -8,11 +8,14 @@ what makes backward and forward queries consistent with each other.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SciArray, ops
 from repro.arrays import coords as C
 from repro.arrays.schema import ArraySchema
 from repro.core.modes import LineageMode
+from repro.ops.base import payload_union
 
 
 def bind(op, *shapes):
@@ -336,3 +339,70 @@ class TestOperatorDefaults:
         op = bind(ops.Transpose(), (3, 5))
         assert op.map_b((1, 2)).tolist() == [[2, 1]]
         assert op.map_f((1, 2)).tolist() == [[2, 1]]
+
+
+# -- payload expansion: map_p_batch / payload_union against per-row map_p ----------
+
+
+class _DilatePayload(ops.Operator):
+    """``map_p`` dilates by a radius read from the payload (the byte sum mod
+    3; an empty payload is radius 0), clipped at the input edges — a union
+    over cells, as every payload operator's ``map_p_many`` must be."""
+
+    def map_p_many(self, out_coords, payload, input_idx):
+        radius = sum(payload) % 3
+        axis = np.arange(-radius, radius + 1)
+        grid = np.meshgrid(axis, axis, indexing="ij")
+        offsets = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
+        return ops.dilate_coords(out_coords, offsets, self.input_shapes[0])
+
+
+@st.composite
+def _payload_batches(draw):
+    shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    n = draw(st.integers(0, 12))
+    rows = [draw(st.integers(0, shape[0] - 1)) for _ in range(n)]
+    cols = [draw(st.integers(0, shape[1] - 1)) for _ in range(n)]
+    cells = np.asarray([rows, cols], dtype=np.int64).T.reshape(n, 2)
+    width = draw(st.integers(0, 2))
+    palette = draw(
+        st.lists(st.binary(min_size=width, max_size=width), min_size=1, max_size=3, unique=True)
+    )
+    chosen = [palette[draw(st.integers(0, len(palette) - 1))] for _ in range(n)]
+    if draw(st.booleans()):
+        payloads = np.frombuffer(b"".join(chosen), dtype=np.uint8).reshape(n, width)
+    else:
+        payloads = chosen
+    size = shape[0] * shape[1]
+    within = np.asarray(
+        sorted(draw(st.sets(st.integers(0, size - 1), max_size=size))), dtype=np.int64
+    )
+    return shape, cells, payloads, chosen, within
+
+
+@settings(deadline=None, max_examples=150)
+@given(_payload_batches())
+def test_map_p_batch_matches_per_row_map_p(batch):
+    shape, cells, payloads, chosen, within = batch
+    op = bind(_DilatePayload(), shape)
+    per_row = [
+        np.sort(C.pack_coords(op.map_p_many(cells[i: i + 1], chosen[i], 0), shape))
+        for i in range(cells.shape[0])
+    ]
+    # without ``within``: every row, in order, each with its own cells
+    got, rows = op.map_p_batch(cells, payloads, 0)
+    assert rows.tolist() == [i for i, p in enumerate(per_row) for _ in range(p.size)]
+    want = np.concatenate(per_row) if per_row else np.empty(0, dtype=np.int64)
+    assert np.array_equal(np.sort(C.pack_coords(got, shape)), np.sort(want))
+    for i, expected in enumerate(per_row):
+        assert np.array_equal(np.sort(C.pack_coords(got[rows == i], shape)), expected)
+    # with ``within``: exactly the rows that meet it, each with its own cells
+    got, rows = op.map_p_batch(cells, payloads, 0, within=within)
+    meets = {i for i, p in enumerate(per_row) if np.isin(p, within).any()}
+    assert set(rows.tolist()) == meets
+    for i in meets:
+        assert np.array_equal(np.sort(C.pack_coords(got[rows == i], shape)), per_row[i])
+    # the backward union equals the union of the per-row expansions
+    if cells.shape[0]:
+        union = np.unique(C.pack_coords(payload_union(op, cells, payloads, 0), shape))
+        assert np.array_equal(union, np.unique(np.concatenate(per_row)))
