@@ -253,9 +253,6 @@ class CheckedLock:
                     del held[i]
                     break
 
-    def locked(self) -> bool:
-        return self._lock.locked()
-
     def __enter__(self) -> bool:
         return self.acquire()
 

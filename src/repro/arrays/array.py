@@ -70,10 +70,6 @@ class SciArray:
         return self.schema.shape
 
     @property
-    def ndim(self) -> int:
-        return self.schema.ndim
-
-    @property
     def size(self) -> int:
         return self.schema.size
 
@@ -133,9 +129,6 @@ class SciArray:
 
     def copy(self) -> "SciArray":
         return SciArray(self.schema, {k: v.copy() for k, v in self._data.items()})
-
-    def rename(self, name: str) -> "SciArray":
-        return SciArray(self.schema.with_name(name), self._data)
 
     def allclose(self, other: "SciArray", **kwargs) -> bool:
         if self.schema.shape != other.schema.shape or self.schema.attr_names != other.schema.attr_names:

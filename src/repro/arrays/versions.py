@@ -110,9 +110,6 @@ class VersionStore:
     def history(self, name: str) -> list[ArrayVersion]:
         return [self._versions[i] for i in self._by_name.get(name, [])]
 
-    def names(self) -> list[str]:
-        return sorted(self._by_name)
-
     def __len__(self) -> int:
         return len(self._versions)
 

@@ -202,9 +202,6 @@ class CosmicRayDetect(Operator):
         offsets = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
         return dilate_coords(out_coords, offsets, self.input_shapes[0])
 
-    def runtime_cost_hint(self) -> float:
-        return 8.0
-
 
 class CosmicRayRemove(Operator):
     """UDF C: replace flagged pixels of the composite with a local median.
@@ -285,9 +282,6 @@ class CosmicRayRemove(Operator):
         )
         offsets = np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
         return dilate_coords(out_coords, offsets, self.input_shapes[0])
-
-    def runtime_cost_hint(self) -> float:
-        return 8.0
 
 
 class StarDetect(Operator):
@@ -408,9 +402,6 @@ class StarDetect(Operator):
             return np.stack([g.ravel() for g in grids], axis=1)
         packed, _ = codecs.decode_cells(payload, 1)
         return C.unpack_coords(packed, self.input_shapes[0])
-
-    def runtime_cost_hint(self) -> float:
-        return 6.0
 
 
 def build_spec() -> WorkflowSpec:

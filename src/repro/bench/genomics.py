@@ -252,9 +252,6 @@ class TrainModel(Operator):
         col = int.from_bytes(payload[:4], "little")
         return self._column_cells(col)
 
-    def runtime_cost_hint(self) -> float:
-        return 2.0
-
 
 class Predict(Operator):
     """UDF H: score each test patient against the model.
@@ -357,9 +354,6 @@ class Predict(Operator):
         cells = np.stack([prows, cols], axis=1)
         rows = np.repeat(np.arange(n, dtype=np.int64), n_feats)
         return cells, rows
-
-    def runtime_cost_hint(self) -> float:
-        return 2.0
 
 
 def build_spec() -> WorkflowSpec:

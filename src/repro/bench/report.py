@@ -1,8 +1,7 @@
 """Result tables for the benchmark harness.
 
 Each figure-reproduction bench assembles a :class:`ResultTable` whose rows
-mirror the series the paper plots, prints it, and (optionally) writes CSV so
-EXPERIMENTS.md can quote exact numbers.
+mirror the series the paper plots and prints it.
 
 :func:`write_bench_json` is the machine-readable sibling: benches publish a
 flat ``metric -> value`` mapping to ``BENCH_<name>.json`` so CI can diff
@@ -110,10 +109,3 @@ class ResultTable:
 
     def print(self) -> None:
         print("\n" + self.render() + "\n")
-
-    def to_csv(self, path: str) -> None:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(self._format(v) for v in row) + "\n")

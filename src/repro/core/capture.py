@@ -84,11 +84,6 @@ class CapturePipeline:
         #: thread, the worker never touches it
         self._pending: list[Future] = []
 
-    @property
-    def active(self) -> bool:
-        """True once a worker thread exists (a job was ever submitted)."""
-        return self._pool is not None
-
     def submit(self, fn: Callable[[], object]) -> Future:
         """Queue ``fn`` behind everything already in flight.
 

@@ -718,14 +718,6 @@ class StoreCatalog:
         """How many live generations serve the key (1 = compacted/base)."""
         return len(self._entries.get((node, strategy), ()))
 
-    def drop(self, node: str, strategy: StorageStrategy) -> None:
-        """Forget a key — all generations (legacy whole-store quarantine)."""
-        with self._lock:
-            self._entries.pop((node, strategy), None)
-            record = self._open.pop((node, strategy), None)
-            stale = self._retire_locked(record) if record is not None else []
-        self._reclaim(stale)
-
     def drop_generation(self, node: str, strategy: StorageStrategy, gen: int) -> None:
         """Forget one generation of a key, keeping the others serving (used
         when recovery quarantines a torn delta segment).  Any open record is
@@ -742,9 +734,6 @@ class StoreCatalog:
             record = self._open.pop((node, strategy), None)
             stale = self._retire_locked(record) if record is not None else []
         self._reclaim(stale)
-
-    def strategies_for(self, node: str) -> tuple[StorageStrategy, ...]:
-        return tuple(s for (n, s) in self._entries if n == node)
 
     def manifest_bytes(self, node: str, strategy: StorageStrategy) -> int:
         """Total on-disk bytes of the key, summed across generations."""
@@ -1038,11 +1027,6 @@ class StoreCatalog:
 
     # -- introspection ---------------------------------------------------------
 
-    def resident_bytes(self) -> int:
-        """Mapped segment bytes currently held open (incl. pinned-evicted)."""
-        with self._lock:
-            return self._resident_bytes_locked()
-
     def open_count(self) -> int:
         """How many stores are currently open in the cache (laziness probe)."""
         with self._lock:
@@ -1068,16 +1052,20 @@ class StoreCatalog:
         out.update(self._filter_stats.snapshot())
         return out
 
-    def is_catalog_store(
-        self, node: str, strategy: StorageStrategy, store: OpLineageStore
-    ) -> bool:
-        """True when ``store`` is the object this catalog currently serves
-        for the key (as opposed to a freshly re-ingested resident store)."""
-        with self._lock:
-            record = self._open.get((node, strategy))
-            return record is not None and record.store is store
-
     # -- lifecycle -------------------------------------------------------------
+
+    def retire(self) -> None:
+        """Leave service after a full re-flush of this directory superseded
+        it: unpinned mappings close now, pinned ones on their last
+        :meth:`release`.  Pending compaction unlinks are dropped — the
+        re-flush already removed those delta files, and the catalog that
+        replaces this one may reuse their names."""
+        with self._lock:
+            records = list(self._open.values())
+            self._open.clear()
+            self._deferred_unlink.clear()
+            for record in records:
+                self._retire_locked(record)
 
     def close(self) -> None:
         """Close every open mapping and empty the cache.

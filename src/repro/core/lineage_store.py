@@ -846,17 +846,13 @@ class OpLineageStore:
     def forward_full(self, qpacked: np.ndarray, input_idx: int) -> np.ndarray:
         raise LineageError(f"{self.strategy.label} cannot serve forward_full")
 
-    def backward_payload(
-        self, qpacked: np.ndarray
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, bytes]]]:
-        raise LineageError(f"{self.strategy.label} cannot serve backward_payload")
-
     def backward_payload_rows(
         self, qpacked: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, list[bytes]] | None:
-        """Row-per-hit variant ``(matched, hit_cells, payloads)`` for layouts
-        whose entries are single cells; None when entries may hold many."""
-        return None
+    ) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+        """``(matched, hit_cells, payloads)``: each matched query cell with
+        the payload of the entry that holds it (a cell in several entries
+        appears once per entry)."""
+        raise LineageError(f"{self.strategy.label} cannot serve backward_payload_rows")
 
     # -- mismatched-orientation reads (cursor scans) ------------------------------
 
@@ -1386,19 +1382,6 @@ class _PayBackwardOne(OpLineageStore):
         self._check_absorb(other)
         self._hash.extend_from(other._hash)
 
-    def backward_payload(self, qpacked):
-        matched = np.zeros(qpacked.size, dtype=bool)
-        qidx, values = self._hash.lookup_many(qpacked)
-        groups: dict[bytes, list[int]] = {}
-        for pos, payload in zip(qidx, values):
-            matched[pos] = True
-            groups.setdefault(payload, []).append(int(qpacked[pos]))
-        pairs = [
-            (np.asarray(cells, dtype=np.int64), payload)
-            for payload, cells in groups.items()
-        ]
-        return matched, pairs
-
     def backward_payload_rows(self, qpacked):
         matched = np.zeros(qpacked.size, dtype=bool)
         qidx, values = self._hash.lookup_many(qpacked)
@@ -1468,20 +1451,19 @@ class _PayBackwardMany(OpLineageStore):
         self._check_absorb(other)
         self._table.extend_columns(*other._table.columns())
 
-    def backward_payload(self, qpacked):
+    def backward_payload_rows(self, qpacked):
         query_sorted = np.sort(qpacked)
         coords = C.unpack_coords(qpacked, self.out_shape)
-        pairs: list[tuple[np.ndarray, bytes]] = []
-        matched_cells: list[np.ndarray] = []
+        hits: list[np.ndarray] = []
+        payloads: list[bytes] = []
         for entry_id in self._table.candidate_entries(coords):
             keys = self._table.entry_keys(int(entry_id))
             hit = keys[C.isin_sorted(keys, query_sorted)]
-            if hit.size == 0:
-                continue
-            matched_cells.append(hit)
-            pairs.append((hit, self._table.entry_value(int(entry_id))))
-        matched = np.isin(qpacked, _concat(matched_cells))
-        return matched, pairs
+            if hit.size:
+                hits.append(hit)
+                payloads += [self._table.entry_value(int(entry_id))] * hit.size
+        hit_packed = _concat(hits)
+        return np.isin(qpacked, hit_packed), hit_packed, payloads
 
     def payload_entries(self):
         return self._table.columns()

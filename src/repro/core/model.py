@@ -188,10 +188,6 @@ class RegionBatch:
     def count(self) -> int:
         return int(self.out_offsets.size - 1)
 
-    @property
-    def arity(self) -> int:
-        return len(self.in_coords) if self.in_coords is not None else 0
-
 
 def _offsets_of(chunks: list) -> np.ndarray:
     """``(n+1,)`` offset vector over the lengths of ``chunks``."""
@@ -361,10 +357,6 @@ class Frontier:
         self._mask[...] = True
 
     # -- views ------------------------------------------------------------------
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self._mask
 
     def coords(self) -> np.ndarray:
         return C.mask_to_coords(self._mask)

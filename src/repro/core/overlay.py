@@ -112,19 +112,12 @@ class FilterStats:
 
 
 class OverlayStore(OpLineageStore):
-    """Union view over one key's lineage sources (see module docstring).
-
-    ``kind`` labels what split produced the sources — ``"generation"``
-    (the catalog's delta overlay) or ``"partition"`` (a scatter-gather
-    union over per-partition stores).  It changes nothing about the merge;
-    it exists so diagnostics can say which union they are looking at.
-    """
+    """Union view over one key's lineage sources (see module docstring)."""
 
     def __init__(
         self,
         stores: list[LineageSource],
         filter_stats: FilterStats | None = None,
-        kind: str = "generation",
     ):
         if not stores:
             raise ValueError("an overlay needs at least one source")
@@ -135,7 +128,6 @@ class OverlayStore(OpLineageStore):
         #: the sources, oldest/lowest-precedence first (reads iterate
         #: newest first)
         self._sources: list[LineageSource] = list(stores)
-        self.kind = kind
         #: cached concatenation of the sources' payload columns
         self._merged_payload: tuple | None = None
         self._plock = lockcheck.make_lock("overlay.payload")
@@ -149,17 +141,6 @@ class OverlayStore(OpLineageStore):
         """How many lineage sources this union consults."""
         return len(self._sources)
 
-    @property
-    def generations(self) -> int:
-        """Source count under its historical name (generation overlays)."""
-        return len(self._sources)
-
-    @property
-    def _gens(self) -> list[LineageSource]:
-        # pre-refactor internal name, kept readable for callers/tests that
-        # still reach for it
-        return self._sources
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -167,14 +148,6 @@ class OverlayStore(OpLineageStore):
             self._merged_payload = None
         for store in self._sources:
             store.close()
-
-    def finalize_if_possible(self) -> None:
-        for store in self._sources:
-            store.finalize_if_possible()
-
-    def warm_lowered_tables(self) -> None:
-        for store in self._sources:
-            store.warm_lowered_tables()
 
     def lowered_ready(self) -> bool:
         return all(store.lowered_ready() for store in self._sources)
@@ -255,10 +228,11 @@ class OverlayStore(OpLineageStore):
         self._fstats.record(probes, skipped, fp)
         return _concat(parts)
 
-    def backward_payload(self, qpacked):
+    def backward_payload_rows(self, qpacked):
         qpacked = np.asarray(qpacked)
         matched = np.zeros(qpacked.size, dtype=bool)
-        pairs = []
+        hit_parts: list[np.ndarray] = []
+        payloads: list = []
         probes = skipped = fp = 0
         for store in reversed(self._sources):
             decision = store.filter_decision("b", qpacked)
@@ -267,42 +241,14 @@ class OverlayStore(OpLineageStore):
                 if not decision:
                     skipped += 1
                     continue
-            m, p = store.backward_payload(qpacked)
+            m, hits, values = store.backward_payload_rows(qpacked)
             if decision and not m.any():
                 fp += 1
             matched |= m
-            pairs.extend(p)
+            if hits.size:
+                hit_parts.append(hits)
+                payloads.extend(values)
         self._fstats.record(probes, skipped, fp)
-        return matched, pairs
-
-    def backward_payload_rows(self, qpacked):
-        qpacked = np.asarray(qpacked)
-        matched = np.zeros(qpacked.size, dtype=bool)
-        hit_parts: list[np.ndarray] = []
-        payloads: list = []
-        probes = skipped = fp = 0
-        try:
-            for store in reversed(self._sources):
-                decision = store.filter_decision("b", qpacked)
-                if decision is not None:
-                    probes += 1
-                    if not decision:
-                        # a filtered-out generation contributes nothing, so
-                        # it cannot force the pair-based fallback either
-                        skipped += 1
-                        continue
-                rows = store.backward_payload_rows(qpacked)
-                if rows is None:  # a *Many generation: use the pair-based path
-                    return None
-                m, hits, values = rows
-                if decision and not m.any():
-                    fp += 1
-                matched |= m
-                if hits.size:
-                    hit_parts.append(hits)
-                    payloads.extend(values)
-        finally:
-            self._fstats.record(probes, skipped, fp)
         return matched, _concat(hit_parts), payloads
 
     # -- mismatched-orientation reads ------------------------------------------
@@ -374,9 +320,6 @@ class OverlayStore(OpLineageStore):
         )
 
     # -- accounting ------------------------------------------------------------
-
-    def disk_bytes(self) -> int:
-        return sum(store.disk_bytes() for store in self._sources)
 
     @property
     def n_entries(self) -> int:

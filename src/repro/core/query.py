@@ -762,14 +762,7 @@ class QueryExecutor:
         out_shape: tuple[int, ...],
         in_shape: tuple[int, ...],
     ) -> np.ndarray:
-        rows = store.backward_payload_rows(qpacked)
-        if rows is not None:
-            matched, hit_packed, payloads = rows
-        else:
-            # multi-cell entries: every hit cell carries its pair's payload
-            matched, pairs = store.backward_payload(qpacked)
-            hit_packed = np.concatenate([c for c, _ in pairs] or [np.empty(0, dtype=np.int64)])
-            payloads = [payload for cells, payload in pairs for _ in range(cells.size)]
+        matched, hit_packed, payloads = store.backward_payload_rows(qpacked)
         parts: list[np.ndarray] = []
         if hit_packed.size:
             coords = C.unpack_coords(hit_packed, out_shape)

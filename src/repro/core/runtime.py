@@ -62,10 +62,6 @@ class LineageRuntime:
                 deduped.append(strategy)
         self._strategies[node] = tuple(deduped)
 
-    def apply_plan(self, plan: dict[str, list[StorageStrategy]]) -> None:
-        for node, strategies in plan.items():
-            self.set_strategies(node, strategies)
-
     def strategies_for(self, node: str) -> tuple[StorageStrategy, ...]:
         """Assigned strategies; black-box is always implicitly available."""
         return self._strategies.get(node, (BLACKBOX,))
@@ -395,6 +391,10 @@ class LineageRuntime:
         :meth:`~repro.core.catalog.StoreCatalog.compact` merges them back.
         An attached catalog for the same directory is appended in place
         (its open records are retired so new borrows see the delta).
+        A full flush into the attached catalog's own directory replaces it:
+        the runtime serves the catalog the flush wrote (same memory budget)
+        and retires the old one, whose pinned records keep serving their
+        sessions until released.
 
         When a catalog is attached and ``append`` is False, its entries
         that no query has opened yet are borrowed (pinned) *one at a time*
@@ -419,6 +419,9 @@ class LineageRuntime:
 
         resident = dict(self._stores)
         catalog = self._catalog
+        in_place = catalog is not None and os.path.abspath(
+            catalog.directory
+        ) == os.path.abspath(directory)
 
         if append:
             if partitions is not None:
@@ -426,9 +429,7 @@ class LineageRuntime:
                     "append=True cannot re-partition; flush the catalog fresh "
                     "with partitions=... instead"
                 )
-            if catalog is not None and os.path.abspath(
-                catalog.directory
-            ) == os.path.abspath(directory):
+            if in_place:
                 return catalog.append_stores(resident)
             if is_partitioned_root(directory):
                 root = PartitionedCatalog.open(directory)
@@ -440,9 +441,7 @@ class LineageRuntime:
             appended.close()
             return total
 
-        if partitions is None and catalog is not None and hasattr(
-            catalog, "node_map"
-        ) and os.path.abspath(catalog.directory) == os.path.abspath(directory):
+        if partitions is None and in_place and hasattr(catalog, "node_map"):
             # re-flushing a partitioned root onto itself keeps its layout
             partitions = catalog.node_map()
 
@@ -467,13 +466,21 @@ class LineageRuntime:
                         # store (or abandons the iteration)
                         catalog.release(record)
 
+        budget = catalog.memory_budget_bytes if in_place else None
         if partitions is not None:
-            root, total = PartitionedCatalog.write(
-                directory, _Stores(), partitions=partitions
+            written, total = PartitionedCatalog.write(
+                directory, _Stores(), partitions=partitions, memory_budget_bytes=budget
             )
-            root.close()
-            return total
-        _, total = StoreCatalog.write(directory, _Stores())
+        else:
+            written, total = StoreCatalog.write(
+                directory, _Stores(), memory_budget_bytes=budget
+            )
+        if in_place:
+            # the flush removed the delta files the old catalog still names
+            self.attach_catalog(written)
+            catalog.retire()
+        else:
+            written.close()
         return total
 
     def load_all(self, directory: str, memory_budget_bytes: int | None = None) -> int:

@@ -135,12 +135,6 @@ class StatsCollector:
             self._stats[node] = OperatorStats(node=node)
         return self._stats[node]
 
-    def __contains__(self, node: str) -> bool:
-        return node in self._stats
-
-    def nodes(self) -> list[str]:
-        return sorted(self._stats)
-
     # -- runtime-side hooks ---------------------------------------------------
 
     def record_run(

@@ -396,7 +396,7 @@ class SubZero:
         """
         if self.runtime is None:
             raise QueryError("execute or resume the workflow before opening a session")
-        return QuerySession(self.runtime)
+        return self.runtime.session()
 
     def serve(
         self,

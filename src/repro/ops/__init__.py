@@ -10,25 +10,18 @@ from repro.ops.aggregates import (
 from repro.ops.base import LineageContext, Operator
 from repro.ops.convolution import Convolve2D, dilate_coords, gaussian_kernel
 from repro.ops.elementwise import (
-    AbsoluteValue,
     Add,
     AddConstant,
     BinaryElementwise,
     BroadcastCombine,
-    BroadcastDivide,
     BroadcastSubtract,
     Clip,
     ClipMin,
     Divide,
     DivideConstant,
     LogTransform,
-    Maximum,
     Minimum,
-    Multiply,
-    PixelMean,
     Scale,
-    SquareRoot,
-    Subtract,
     SubtractConstant,
     Threshold,
     UnaryElementwise,
@@ -51,19 +44,12 @@ __all__ = [
     "DivideConstant",
     "ClipMin",
     "Clip",
-    "AbsoluteValue",
-    "SquareRoot",
     "LogTransform",
     "Threshold",
     "Add",
-    "Subtract",
-    "Multiply",
     "Divide",
     "Minimum",
-    "Maximum",
-    "PixelMean",
     "BroadcastSubtract",
-    "BroadcastDivide",
     # linalg
     "Transpose",
     "MatMul",

@@ -83,27 +83,6 @@ class Reduce(Operator):
         dropped = np.delete(in_coords, self.axis, axis=1)
         return C.unique_coords(dropped, self.output_shape)
 
-    def map_b_batch(self, out_coords, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=len(self.output_shape))
-        in_shape = self.input_shapes[0]
-        n = out_coords.shape[0]
-        extent = in_shape[self.axis]
-        if len(in_shape) == 1:
-            cells = np.tile(C.all_coords(in_shape), (n, 1))
-            return cells, np.full(n, in_shape[0], dtype=np.int64)
-        kept = (
-            out_coords
-            if len(self.output_shape) == len(in_shape) - 1
-            else out_coords[:, :0]
-        )
-        line = np.arange(extent, dtype=np.int64)
-        repeated = np.repeat(kept, extent, axis=0)
-        tiled = np.tile(line, n).reshape(-1, 1)
-        cells = np.concatenate(
-            [repeated[:, : self.axis], tiled, repeated[:, self.axis :]], axis=1
-        )
-        return cells, np.full(n, extent, dtype=np.int64)
-
 
 class GlobalReduce(Operator):
     """Reduce the whole array to one cell (all-to-all)."""
@@ -214,22 +193,3 @@ class CumulativeSum(Operator):
                 np.concatenate([rest[:, : self.axis], line, rest[:, self.axis:]], axis=1)
             )
         return np.concatenate(pieces, axis=0)
-
-    def map_b_batch(self, out_coords, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=len(self.output_shape))
-        n = out_coords.shape[0]
-        counts = out_coords[:, self.axis] + 1  # prefix 0..x inclusive
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        axis_col = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
-        rest = np.repeat(out_coords, counts, axis=0)
-        cells = np.concatenate(
-            [
-                rest[:, : self.axis],
-                axis_col.reshape(-1, 1),
-                rest[:, self.axis + 1 :],
-            ],
-            axis=1,
-        )
-        return cells, counts

@@ -13,6 +13,9 @@ and, depending on the lineage modes they support:
   ``map_p(outcell, payload, i)``) and emit payload pairs from
   :meth:`write_lineage` via ``ctx.lwrite_payload``.
 
+Every operator that declares a pair mode overrides :meth:`write_lineage`;
+the default raises :class:`~repro.errors.OperatorError`.
+
 ``supported_modes()`` declares what the optimizer may pick (operators that
 don't override it are treated as all-to-all black boxes, exactly as §IV
 prescribes for un-instrumented UDFs).
@@ -239,42 +242,12 @@ class Operator:
     ) -> None:
         """Emit region pairs via ``ctx.lwrite*``.
 
-        The default covers three cases so built-ins need no extra code when a
-        tracing re-execution asks for ``FULL`` (§V-B): all-to-all operators
-        emit one exact pair (checked *before* the mapping path — a global
-        aggregate supporting ``MAP`` would otherwise expand the identical
-        all-to-all relation once per output cell); mapping operators derive
-        exact per-cell pairs from one :meth:`map_b_batch` pass; anything else
-        degrades to a single all-to-all pair.
+        Every operator that declares a pair mode (``FULL``, ``PAY`` or
+        ``COMP``) overrides this; the runtime asks for pairs only in a mode
+        the operator declares, and mapping operators answer from
+        :meth:`map_b_many` / :meth:`map_f_many` instead.
         """
-        if not self.all_to_all and LineageMode.MAP in self.supported_modes():
-            self._trace_full_from_map(output, ctx)
-            return
-        outcells = C.all_coords(output.shape)
-        incells = [C.all_coords(arr.shape) for arr in inputs]
-        ctx.lwrite(outcells, *incells)
-
-    def _trace_full_from_map(self, output: SciArray, ctx: LineageContext) -> None:
-        """One batch pass: each output cell becomes its own region pair."""
-        outcells = C.all_coords(output.shape)
-        results = [self.map_b_batch(outcells, i) for i in range(self.arity)]
-        if all(counts.size and (counts == 1).all() for _, counts in results):
-            # one-to-one everywhere: reuse the elementwise fast path
-            ctx.lwrite_elementwise(outcells, *[cells for cells, _ in results])
-            return
-        n = outcells.shape[0]
-        out_offsets = np.arange(n + 1, dtype=np.int64)
-        in_offsets = []
-        for _, counts in results:
-            off = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=off[1:])
-            in_offsets.append(off)
-        ctx.lwrite_batch(
-            outcells,
-            out_offsets,
-            [cells for cells, _ in results],
-            in_offsets,
-        )
+        raise OperatorError(f"{self.name} does not implement write_lineage()")
 
     # -- lineage declarations (Table I) ------------------------------------------
 
@@ -292,33 +265,6 @@ class Operator:
             self._require_bound()
             return C.all_coords(self.input_shapes[input_idx])
         raise LineageError(f"{self.name} defines no backward mapping function")
-
-    def map_b_batch(
-        self, out_coords: np.ndarray, input_idx: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise ``map_b``: per-output-cell backward lineage in one pass.
-
-        Returns ``(in_coords, counts)`` where output row ``i`` depends on
-        ``counts[i]`` consecutive rows of ``in_coords`` (rows appear in
-        output-row order).  Unlike :meth:`map_b_many` this keeps per-row
-        boundaries, so tracing re-execution can emit exact region pairs
-        without a per-cell Python loop.  The default loops over rows calling
-        :meth:`map_b_many`; built-in operators override it with vectorised
-        implementations.
-        """
-        out_coords = C.as_coord_array(out_coords)
-        n = out_coords.shape[0]
-        pieces: list[np.ndarray] = []
-        counts = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            cells = self.map_b_many(out_coords[i : i + 1], input_idx)
-            pieces.append(cells)
-            counts[i] = cells.shape[0]
-        if not pieces:
-            self._require_bound()
-            ndim = len(self.input_shapes[input_idx])
-            return C.empty_coords(ndim), counts
-        return np.concatenate(pieces), counts
 
     def map_f_many(self, in_coords: np.ndarray, input_idx: int) -> np.ndarray:
         """Union of the forward lineage of ``in_coords`` from input ``input_idx``."""
@@ -404,14 +350,8 @@ class Operator:
 
     # -- cost hints -------------------------------------------------------------
 
-    def runtime_cost_hint(self) -> float:
-        """Relative compute weight used by the cost model before any
-        measurement exists (1.0 = cheap elementwise pass)."""
-        return 1.0
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} arity={self.arity}>"
-
 
 
 def _payload_groups(payloads, n: int) -> list[tuple[bytes, np.ndarray]]:

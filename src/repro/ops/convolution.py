@@ -88,19 +88,3 @@ class Convolve2D(Operator):
         # Forward lineage mirrors the kernel support (offsets are symmetric
         # around zero by construction, so the same offset set applies).
         return dilate_coords(in_coords, self._offsets, self.output_shape)
-
-    def map_b_batch(self, out_coords, input_idx):
-        shape = self.input_shapes[0]
-        out_coords = C.as_coord_array(out_coords, ndim=len(shape))
-        n = out_coords.shape[0]
-        if n == 0:
-            return C.empty_coords(len(shape)), np.zeros(0, dtype=np.int64)
-        # per-row neighbourhood with a validity mask instead of a union:
-        # offsets are pairwise distinct, so each row's kept cells are unique
-        expanded = out_coords[:, None, :] + self._offsets[None, :, :]
-        extents = np.asarray(shape, dtype=np.int64)
-        inside = ((expanded >= 0) & (expanded < extents)).all(axis=2)
-        return expanded[inside], inside.sum(axis=1, dtype=np.int64)
-
-    def runtime_cost_hint(self) -> float:
-        return 2.0 + self.kernel.size / 9.0

@@ -29,19 +29,12 @@ __all__ = [
     "DivideConstant",
     "ClipMin",
     "Clip",
-    "AbsoluteValue",
-    "SquareRoot",
     "LogTransform",
     "Threshold",
     "Add",
-    "Subtract",
-    "Multiply",
     "Divide",
     "Minimum",
-    "Maximum",
-    "PixelMean",
     "BroadcastSubtract",
-    "BroadcastDivide",
 ]
 
 _MAPPING_MODES = frozenset({LineageMode.MAP, LineageMode.BLACKBOX})
@@ -68,10 +61,6 @@ class UnaryElementwise(Operator):
 
     def map_f_many(self, in_coords: np.ndarray, input_idx: int) -> np.ndarray:
         return C.as_coord_array(in_coords, ndim=len(self.input_shapes[input_idx]))
-
-    def map_b_batch(self, out_coords, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=len(self.output_shape))
-        return out_coords, np.ones(out_coords.shape[0], dtype=np.int64)
 
 
 class BinaryElementwise(Operator):
@@ -105,10 +94,6 @@ class BinaryElementwise(Operator):
 
     def map_f_many(self, in_coords: np.ndarray, input_idx: int) -> np.ndarray:
         return C.as_coord_array(in_coords, ndim=len(self.input_shapes[input_idx]))
-
-    def map_b_batch(self, out_coords, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=len(self.output_shape))
-        return out_coords, np.ones(out_coords.shape[0], dtype=np.int64)
 
 
 class BroadcastCombine(Operator):
@@ -158,15 +143,6 @@ class BroadcastCombine(Operator):
             return C.empty_coords(len(self.output_shape))
         return C.all_coords(self.output_shape)
 
-    def map_b_batch(self, out_coords, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=len(self.output_shape))
-        n = out_coords.shape[0]
-        ones = np.ones(n, dtype=np.int64)
-        if input_idx == 0:
-            return out_coords, ones
-        # every output cell depends on the one statistic cell
-        return np.repeat(C.all_coords(self.input_shapes[1]), n, axis=0), ones
-
 
 # -- concrete unary built-ins --------------------------------------------------
 
@@ -211,16 +187,6 @@ class Clip(UnaryElementwise):
         super().__init__(lambda v: np.clip(v, self.lo, self.hi), name)
 
 
-class AbsoluteValue(UnaryElementwise):
-    def __init__(self, name: str | None = None):
-        super().__init__(np.abs, name)
-
-
-class SquareRoot(UnaryElementwise):
-    def __init__(self, name: str | None = None):
-        super().__init__(lambda v: np.sqrt(np.maximum(v, 0)), name)
-
-
 class LogTransform(UnaryElementwise):
     """``log1p`` transform, common in expression-level normalisation."""
 
@@ -244,16 +210,6 @@ class Add(BinaryElementwise):
         super().__init__(np.add, name)
 
 
-class Subtract(BinaryElementwise):
-    def __init__(self, name: str | None = None):
-        super().__init__(np.subtract, name)
-
-
-class Multiply(BinaryElementwise):
-    def __init__(self, name: str | None = None):
-        super().__init__(np.multiply, name)
-
-
 class Divide(BinaryElementwise):
     def __init__(self, name: str | None = None):
         super().__init__(lambda a, b: a / np.where(b == 0, 1, b), name)
@@ -264,23 +220,6 @@ class Minimum(BinaryElementwise):
         super().__init__(np.minimum, name)
 
 
-class Maximum(BinaryElementwise):
-    def __init__(self, name: str | None = None):
-        super().__init__(np.maximum, name)
-
-
-class PixelMean(BinaryElementwise):
-    """Per-cell average of two same-shape arrays (image compositing)."""
-
-    def __init__(self, name: str | None = None):
-        super().__init__(lambda a, b: (a + b) / 2.0, name)
-
-
 class BroadcastSubtract(BroadcastCombine):
     def __init__(self, name: str | None = None):
         super().__init__(np.subtract, name)
-
-
-class BroadcastDivide(BroadcastCombine):
-    def __init__(self, name: str | None = None):
-        super().__init__(lambda a, b: a / (b if b != 0 else 1.0), name)

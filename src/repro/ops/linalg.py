@@ -116,9 +116,6 @@ class MatrixInverse(Operator):
     def supported_modes(self) -> frozenset[LineageMode]:
         return _MAPPING_MODES
 
-    def runtime_cost_hint(self) -> float:
-        return 10.0
-
 
 def _cross(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Cartesian product of row and column indices as (n, 2) coords."""

@@ -60,10 +60,6 @@ class SliceOp(Operator):
         shifted = C.as_coord_array(in_coords, ndim=self.lo.size) - self.lo
         return C.clip_coords(shifted, self.output_shape)
 
-    def map_b_batch(self, out_coords, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=self.lo.size)
-        return out_coords + self.lo, np.ones(out_coords.shape[0], dtype=np.int64)
-
 
 class Concat(Operator):
     """Concatenate ``arity`` same-rank arrays along ``axis``."""
@@ -117,14 +113,6 @@ class Concat(Operator):
         shifted[:, self.axis] += self._offsets[input_idx]
         return shifted
 
-    def map_b_batch(self, out_coords, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=len(self.output_shape))
-        shifted = out_coords.copy()
-        shifted[:, self.axis] -= self._offsets[input_idx]
-        shape = np.asarray(self.input_shapes[input_idx], dtype=np.int64)
-        inside = ((shifted >= 0) & (shifted < shape)).all(axis=1)
-        return shifted[inside], inside.astype(np.int64)
-
 
 class Subsample(Operator):
     """Keep every ``step``-th cell along each dimension."""
@@ -162,10 +150,6 @@ class Subsample(Operator):
         keep = (in_coords % self.steps == 0).all(axis=1)
         return in_coords[keep] // self.steps
 
-    def map_b_batch(self, out_coords, input_idx):
-        out_coords = C.as_coord_array(out_coords, ndim=self.steps.size)
-        return out_coords * self.steps, np.ones(out_coords.shape[0], dtype=np.int64)
-
 
 class Reshape(Operator):
     """Row-major reshape; lineage follows ravel order."""
@@ -200,10 +184,6 @@ class Reshape(Operator):
     def map_f_many(self, in_coords: np.ndarray, input_idx: int) -> np.ndarray:
         packed = C.pack_coords(in_coords, self.input_shapes[0])
         return C.unpack_coords(packed, self.output_shape)
-
-    def map_b_batch(self, out_coords, input_idx):
-        cells = self.map_b_many(out_coords, input_idx)
-        return cells, np.ones(cells.shape[0], dtype=np.int64)
 
 
 class Pad(Operator):
@@ -241,9 +221,3 @@ class Pad(Operator):
 
     def map_f_many(self, in_coords: np.ndarray, input_idx: int) -> np.ndarray:
         return C.as_coord_array(in_coords, ndim=self.before.size) + self.before
-
-    def map_b_batch(self, out_coords, input_idx):
-        shifted = C.as_coord_array(out_coords, ndim=self.before.size) - self.before
-        shape = np.asarray(self.input_shapes[0], dtype=np.int64)
-        inside = ((shifted >= 0) & (shifted < shape)).all(axis=1)
-        return shifted[inside], inside.astype(np.int64)

@@ -200,6 +200,3 @@ class WindowReduce(Operator):
 
     def map_f_many(self, in_coords, input_idx):
         return dilate_coords(in_coords, self._offsets, self.output_shape)
-
-    def runtime_cost_hint(self) -> float:
-        return 3.0 + self.size

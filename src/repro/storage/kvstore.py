@@ -45,10 +45,6 @@ class _Chunk:
     offsets: np.ndarray  # int64 (n + 1,) into buf
     buf: bytes  # any bytes-like (loaded segments pass an mmap-backed view)
 
-    @property
-    def nbytes(self) -> int:
-        return self.keys.nbytes + len(self.buf) + self.offsets.nbytes
-
 
 class HashStore:
     """Bulk-loaded int64 → bytes multimap (see module docstring)."""

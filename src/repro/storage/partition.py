@@ -22,7 +22,7 @@ all-partition broadcast for nodes the map does not cover; when a key turns
 out to live in several partitions, the per-partition stores are merged
 through the same source-agnostic
 :class:`~repro.core.overlay.OverlayStore` union that merges generations —
-one merge implementation, with ``kind="partition"``.
+one merge implementation.
 
 Failure isolation is per partition: a torn partition (unreadable or
 corrupt child manifest) is *degraded* at open time — its nodes lose their
@@ -107,8 +107,8 @@ class PartitionInfo:
 class _PartitionLease:
     """One borrow served by the partitioned root: the merged read surface
     plus the child-catalog pins backing it.  ``store`` is the single
-    partition's store in the common (targeted) case, or a
-    ``kind="partition"`` overlay when the key lives in several partitions;
+    partition's store in the common (targeted) case, or an overlay when
+    the key lives in several partitions;
     ``leases`` are released child-by-child on the root's release."""
 
     key: tuple[str, StorageStrategy]
@@ -324,13 +324,6 @@ class PartitionedCatalog:
                 ) from exc
             raise
 
-    def save_manifest(self) -> int:
-        """Persist every live child manifest plus the root; returns the
-        root manifest's size (mirrors ``StoreCatalog.save_manifest``)."""
-        for child in self._live_children().values():
-            child.save_manifest()
-        return self.save_root_manifest()
-
     # -- opening ---------------------------------------------------------------
 
     @classmethod
@@ -463,7 +456,7 @@ class PartitionedCatalog:
         """Scatter one key: probe the owning partition (or broadcast when
         the node is unmapped), pinning each child record touched.  Returns
         a lease whose ``.store`` is the merged read surface — the single
-        partition's store, or a ``kind="partition"`` overlay — or None
+        partition's store, or an overlay of the partitions' stores — or None
         when no live partition serves the key."""
         targets = self._children_for(node)
         self._count_probes(
@@ -489,7 +482,6 @@ class PartitionedCatalog:
             store = OverlayStore(
                 [record.store for _, record in leases],
                 filter_stats=self._filter_stats,
-                kind="partition",
             )
         return _PartitionLease(key=(node, strategy), store=store, leases=leases)
 
@@ -516,9 +508,7 @@ class PartitionedCatalog:
             return None
         if len(stores) == 1:
             return stores[0]
-        return OverlayStore(
-            stores, filter_stats=self._filter_stats, kind="partition"
-        )
+        return OverlayStore(stores, filter_stats=self._filter_stats)
 
     # -- appending / compaction -------------------------------------------------
 
@@ -611,19 +601,6 @@ class PartitionedCatalog:
     def entries(self) -> list:
         return [e for child in self._live_children().values() for e in child.entries()]
 
-    def entry(self, node: str, strategy: StorageStrategy):
-        for _pid, child in self._children_for(node):
-            entry = child.entry(node, strategy)
-            if entry is not None:
-                return entry
-        return None
-
-    def generations_for(self, node: str, strategy: StorageStrategy) -> tuple:
-        out: tuple = ()
-        for _pid, child in self._children_for(node):
-            out += child.generations_for(node, strategy)
-        return out
-
     def generation_count(self, node: str, strategy: StorageStrategy) -> int:
         """Live sources a read must union — generations summed across the
         partitions serving the key (normally exactly one partition)."""
@@ -631,14 +608,6 @@ class PartitionedCatalog:
             child.generation_count(node, strategy)
             for _pid, child in self._children_for(node)
         )
-
-    def strategies_for(self, node: str) -> tuple[StorageStrategy, ...]:
-        out: list[StorageStrategy] = []
-        for _pid, child in self._children_for(node):
-            for strategy in child.strategies_for(node):
-                if strategy not in out:
-                    out.append(strategy)
-        return tuple(out)
 
     def manifest_bytes(self, node: str, strategy: StorageStrategy) -> int:
         return sum(
@@ -666,33 +635,13 @@ class PartitionedCatalog:
             child.filters_ready(node, strategy) for child in holders
         )
 
-    def drop(self, node: str, strategy: StorageStrategy) -> None:
-        for _pid, child in self._children_for(node):
-            child.drop(node, strategy)
-
-    def drop_generation(self, node: str, strategy: StorageStrategy, gen: int) -> None:
-        for _pid, child in self._children_for(node):
-            child.drop_generation(node, strategy, gen)
-
     # -- introspection -----------------------------------------------------------
-
-    def resident_bytes(self) -> int:
-        return sum(c.resident_bytes() for c in self._live_children().values())
-
-    def open_count(self) -> int:
-        return sum(c.open_count() for c in self._live_children().values())
 
     def is_open(self, node: str, strategy: StorageStrategy) -> bool:
         return any(
             child.is_open(node, strategy)
             for _pid, child in self._children_for(node)
         )
-
-    def is_catalog_store(self, node: str, strategy: StorageStrategy, store) -> bool:
-        for _pid, child in self._children_for(node):
-            if child.is_catalog_store(node, strategy, store):
-                return True
-        return False
 
     def stats(self) -> dict[str, int]:
         """Child cache counters summed, plus the root's scatter counters
@@ -718,6 +667,11 @@ class PartitionedCatalog:
         return out
 
     # -- lifecycle ----------------------------------------------------------------
+
+    def retire(self) -> None:
+        """:meth:`StoreCatalog.retire` on every live partition."""
+        for child in self._live_children().values():
+            child.retire()
 
     def close(self) -> None:
         for child in self._live_children().values():

@@ -403,9 +403,6 @@ class Segment:
     def has(self, name: str) -> bool:
         return name in self._sections
 
-    def names(self) -> list[str]:
-        return list(self._sections)
-
     def array(self, name: str) -> np.ndarray:
         """Zero-copy numpy view of an array section (pages in lazily)."""
         self._check_open()

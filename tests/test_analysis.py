@@ -67,6 +67,36 @@ class TestSZ001:
             """,
         )
 
+    @pytest.mark.parametrize(
+        "guard",
+        [
+            "finally:\n        rec.release()",
+            "except BaseException:\n        rec.close()\n        raise",
+        ],
+        ids=["finally", "except"],
+    )
+    def test_quiet_when_record_releases_itself_on_failure(self, guard):
+        source = (
+            "def ok(catalog):\n"
+            "    rec = catalog.borrow('n', 's')\n"
+            "    try:\n"
+            "        rec.store.read()\n"
+            f"    {guard}\n"
+        )
+        assert not _findings("SZ001", source)
+
+    def test_fires_when_release_skips_the_failure_path(self):
+        found = _findings(
+            "SZ001",
+            """
+            def leak(catalog):
+                rec = catalog.borrow("n", "s")
+                rec.store.read()
+                rec.release()
+            """,
+        )
+        assert len(found) == 1
+
     def test_quiet_when_result_escapes(self):
         # the QuerySession pattern: the record is stowed for a later release
         assert not _findings(

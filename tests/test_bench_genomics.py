@@ -146,3 +146,22 @@ class TestQueriesAndEquivalence:
             [("t_transpose", 0), ("t_log", 0), ("t_norm", 0), ("extract_train", 0), ("train_model", 0)],
         )
         assert model_cell in {tuple(c) for c in fwd.coords}
+
+
+@pytest.mark.parametrize("node", ["extract_train", "extract_test", "predict"])
+def test_vectorised_map_p_batch_agrees_with_per_row_map_p(subzero, node):
+    """``payload_union`` relies on it: each row of the UDF's vectorised
+    ``map_p_batch`` carries exactly that row's ``map_p_many`` cells."""
+    op = subzero.instance.operator(node)
+    store = subzero.runtime.store_for(node, PAY_ONE_B)
+    keys, koff, vbuf, voff = store.payload_entries()
+    n = min(24, koff.size - 1)
+    out_coords = np.stack(
+        [np.unravel_index(int(keys[koff[e]]), op.output_shape) for e in range(n)]
+    ).astype(np.int64)
+    payloads = [bytes(vbuf[voff[e]: voff[e + 1]]) for e in range(n)]
+    for idx in range(op.arity):
+        cells, rows = op.map_p_batch(out_coords, payloads, idx)
+        for i in range(n):
+            want = {tuple(c) for c in op.map_p_many(out_coords[i: i + 1], payloads[i], idx).tolist()}
+            assert {tuple(c) for c in cells[rows == i].tolist()} == want

@@ -360,7 +360,7 @@ def _store_answers(store, q_out, q_in):
     """Matched AND mismatched reads, order-normalised."""
     strategy = store.strategy
     if strategy.mode is LineageMode.PAY:
-        matched, pairs = store.backward_payload(q_out)
+        matched, hits, payloads = store.backward_payload_rows(q_out)
         keys, koff, vbuf, voff = store.payload_entries()
         entries = sorted(
             (tuple(keys[koff[e]: koff[e + 1]].tolist()), bytes(vbuf[voff[e]: voff[e + 1]]))
@@ -368,7 +368,7 @@ def _store_answers(store, q_out, q_in):
         )
         return (
             matched.tolist(),
-            sorted((tuple(sorted(c.tolist())), p) for c, p in pairs),
+            sorted(zip(hits.tolist(), payloads)),
             entries,
         )
     if strategy.orientation is Orientation.BACKWARD:

@@ -40,6 +40,7 @@ from hypothesis import given, settings
 from repro import (
     FULL_MANY_B,
     FULL_ONE_B,
+    PAY_MANY_B,
     PAY_ONE_B,
     SciArray,
     SubZero,
@@ -715,7 +716,7 @@ class TestFacadeAndCostModel:
         catalog, _ = StoreCatalog.append(str(tmp_path), {key: b})
         overlay = catalog.open_store("n", PAY_ONE_B)
         assert isinstance(overlay, OverlayStore)
-        assert overlay.generations == 2
+        assert overlay.sources == 2
         assert overlay.n_entries == a.n_entries + b.n_entries
         keys, koff, vbuf, voff = overlay.payload_entries()
         assert koff.size - 1 == overlay.n_entries
@@ -747,6 +748,28 @@ class TestFacadeAndCostModel:
         assert model.overlay_penalty_seconds("n", MAP, True, 64, 3) == 0.0
         assert model.overlay_penalty_seconds("n", FULL_ONE_B, True, 64, 1) == 0.0
 
+    def test_paymany_generations_compact_to_the_same_answers(self, tmp_path, rng):
+        image = SciArray.from_numpy(rng.random((20, 24)))
+        versions = VersionStore()
+        sz = self._run(image, strategies=(PAY_MANY_B,), versions=versions)
+        directory = str(tmp_path / "paymany")
+        sz.flush_lineage(directory)
+        self._run(image, strategies=(PAY_MANY_B,)).flush_lineage(directory, append=True)
+        requests = [
+            QueryRequest.backward([(3, 3), (8, 9)], ["spot"]),
+            QueryRequest.forward([(5, 5), (2, 2)], ["spot"]),
+        ]
+        want = [sorted(map(tuple, sz.query(r).coords.tolist())) for r in requests]
+
+        sz3 = SubZero(build_spot_spec(), enable_query_opt=False)
+        sz3.resume(versions, wal=sz.wal, lineage_dir=directory)
+        assert sz3.runtime.generation_count("spot", PAY_MANY_B) == 2
+        assert len(sz3.compact_lineage().compacted) == 1
+        assert sz3.runtime.generation_count("spot", PAY_MANY_B) == 1
+        assert [sorted(map(tuple, sz3.query(r).coords.tolist())) for r in requests] == want
+        sz3.close()
+        sz.close()
+
 
 # -- generation filters --------------------------------------------------------
 
@@ -754,7 +777,7 @@ class TestFacadeAndCostModel:
 def _strip_filters(store):
     """Disable the loaded filters of a store / every overlay generation, so
     the same mapped data answers with the pre-filter read-everything path."""
-    gens = store._gens if isinstance(store, OverlayStore) else [store]
+    gens = store._sources if isinstance(store, OverlayStore) else [store]
     for gen in gens:
         gen._filters = None
 
@@ -964,3 +987,68 @@ class TestAutonomousMaintenance:
         with pytest.raises(StorageError, match="simulated crash"):
             sz.close()
         sz.close()  # the captured failure re-raises exactly once
+
+
+# -- full re-flush onto the attached catalog -------------------------------------
+
+
+class TestInPlaceReflush:
+    """A full flush into the attached catalog's own directory merges every
+    key to one generation and removes the delta files; the engine must
+    then serve the catalog that flush wrote, not the one naming the
+    removed files — while a session pinned across the flush keeps
+    answering from the mappings it holds."""
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["unbounded", "budget1"])
+    @pytest.mark.parametrize("partitions", [None, 2], ids=["monolithic", "partitioned"])
+    def test_reflush_serves_the_written_catalog(self, tmp_path, rng, partitions, budget):
+        image = SciArray.from_numpy(rng.random((20, 24)))
+        versions = VersionStore()
+        strategies = (FULL_ONE_B, FULL_MANY_B)
+        directory = str(tmp_path / "lineage")
+        base = SubZero(build_spot_spec(), enable_query_opt=False)
+        base.set_strategy("spot", *strategies)
+        base.run({"img": image}, version_store=versions)
+        base.flush_lineage(directory, partitions=partitions)
+        delta = SubZero(build_spot_spec(), enable_query_opt=False)
+        delta.set_strategy("spot", *strategies)
+        delta.run({"img": image})
+        delta.flush_lineage(directory, append=True)
+        delta.close()
+
+        engine = SubZero(build_spot_spec(), enable_query_opt=False, memory_budget_bytes=budget)
+        engine.resume(versions, wal=base.wal, lineage_dir=directory)
+        assert engine.runtime.generation_count("spot", FULL_ONE_B) == 2
+        requests = [
+            QueryRequest.backward([(3, 3), (8, 9)], ["spot"]),
+            QueryRequest.forward([(5, 5), (2, 2)], ["spot"]),
+        ]
+
+        def answers(session=None):
+            return [
+                sorted(map(tuple, engine.query(r, session=session).coords.tolist()))
+                for r in requests
+            ]
+
+        before = answers()
+        old = engine.runtime.catalog
+        pinned = engine.session()
+        assert answers(pinned) == before
+
+        engine.flush_lineage(directory)
+
+        assert engine.compact_lineage().compacted == []
+        assert engine.compaction_advice() == []
+        for strategy in strategies:
+            assert engine.runtime.generation_count("spot", strategy) == 1
+        assert engine.runtime.catalog is not old
+        assert engine.runtime.catalog.memory_budget_bytes == budget
+        assert answers() == before
+        # the pinned session still reads the old mappings, which close on
+        # its release
+        assert answers(pinned) == before
+        assert old.stats()["open_mappings"] > 0
+        pinned.close()
+        assert old.stats()["open_mappings"] == 0
+        engine.close()
+        base.close()

@@ -249,6 +249,39 @@ class TestStrategyOptimizer:
         used = sum(model.disk_bytes("udf", s) for s in plan["udf"])
         assert used <= 1e9
 
+    def test_greedy_fallback_respects_runtime_budget(self):
+        stats = seeded_stats()
+        model = CostModel(stats)
+        optimizer = StrategyOptimizer(model)
+        profile = WorkloadProfile(weights={"udf": {Direction.BACKWARD: 1.0}})
+
+        def greedy(max_run):
+            return optimizer._solve_greedy(
+                ["udf"],
+                {"udf": candidate_strategies(SpotUDF(name="udf"))},
+                {"udf": []},
+                profile,
+                max_disk=1e9,
+                max_run=max_run,
+            )["udf"]
+
+        def run_seconds(plan):
+            return sum(model.write_seconds("udf", s) for s in plan)
+
+        unbounded = greedy(None)
+        assert run_seconds(unbounded) > 0
+        capped = greedy(0.0)
+        assert run_seconds(capped) == 0.0
+        assert capped != unbounded
+
+    def test_describe_lists_plan_and_estimates(self):
+        result = _optimize(seeded_stats(), {Direction.BACKWARD: 1.0}, max_disk=1e9)
+        text = result.describe()
+        head, *rows = text.splitlines()
+        assert head.startswith(f"status={result.status} ilp={result.used_ilp} ")
+        assert "disk=" in head and "query~" in head
+        assert rows == [f"  udf: {', '.join(s.label for s in result.plan['udf'])}"]
+
     @given(
         budget=st.floats(min_value=1e2, max_value=1e8),
         fanin=st.integers(1, 50),

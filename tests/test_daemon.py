@@ -201,6 +201,14 @@ class TestDaemonEquivalence:
                 status, body = client._call("GET", "/v1/nope")
                 assert status == 404 and "error" in body
 
+    def test_client_without_keep_alive_pools_nothing(self, flushed):
+        with _resume_engine(flushed) as sz:
+            with QueryDaemon(sz, port=0) as daemon:
+                with DaemonClient(*daemon.address, keep_alive=False) as client:
+                    client.wait_ready()
+                    assert client.health() == {"status": "serving"}
+                    assert client._pooled == set()
+
     def test_malformed_and_invalid_requests_get_400(self, flushed):
         with _resume_engine(flushed) as sz:
             with QueryDaemon(sz, port=0) as daemon:

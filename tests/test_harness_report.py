@@ -38,13 +38,6 @@ class TestResultTable:
         table.add_note("hello")
         assert "note: hello" in table.render()
 
-    def test_csv(self, tmp_path):
-        table = ResultTable("t", ["a", "b"])
-        table.add_row("x", 2.0)
-        path = tmp_path / "out.csv"
-        table.to_csv(str(path))
-        assert path.read_text().splitlines() == ["a,b", "x,2.00"]
-
 
 class TestConfigs:
     def test_astronomy_matches_table2(self):

@@ -293,11 +293,9 @@ class TestPayloadStores:
         store.ingest(make_payload_sink())
         store.finalize_if_possible()
         q = pk((0, 0), (3, 3), (5, 0))
-        matched, pairs = store.backward_payload(q)
+        matched, hits, payloads = store.backward_payload_rows(q)
         assert matched.tolist() == [True, True, False]
-        payloads = {payload for _, payload in pairs}
-        assert b"AA" in payloads
-        assert b"\x01" in payloads
+        assert sorted(zip(hits.tolist(), payloads)) == [(int(q[0]), b"AA"), (int(q[1]), b"\x01")]
 
     def test_payone_rows_fast_path(self):
         store = make_store("n", PAY_ONE_B, OUT_SHAPE, IN_SHAPES)
@@ -307,10 +305,13 @@ class TestPayloadStores:
         assert len(payloads) == 2
         assert b"AA" in payloads and b"\x02" in payloads
 
-    def test_paymany_has_no_rows_fast_path(self):
+    def test_paymany_rows_repeat_entry_payload_per_hit_cell(self):
         store = make_store("n", PAY_MANY_B, OUT_SHAPE, IN_SHAPES)
         store.ingest(make_payload_sink())
-        assert store.backward_payload_rows(pk((0, 0))) is None
+        q = pk((0, 0), (0, 1), (5, 5))
+        matched, hits, payloads = store.backward_payload_rows(q)
+        assert matched.tolist() == [True, True, False]
+        assert sorted(zip(hits.tolist(), payloads)) == [(int(q[0]), b"AA"), (int(q[1]), b"AA")]
 
     @pytest.mark.parametrize("strategy", [PAY_ONE_B, PAY_MANY_B], ids=lambda s: s.label)
     def test_payload_columns_and_overridden(self, strategy):
@@ -333,7 +334,7 @@ class TestPayloadStores:
     def test_full_store_rejects_payload_queries(self):
         store = make_store("n", FULL_ONE_B, OUT_SHAPE, IN_SHAPES)
         with pytest.raises(LineageError):
-            store.backward_payload(pk((0, 0)))
+            store.backward_payload_rows(pk((0, 0)))
         with pytest.raises(LineageError):
             store.payload_entries()
 

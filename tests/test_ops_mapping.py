@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SciArray, ops
+from repro import FULL_ONE_B, MAP, SciArray, SubZero, WorkflowSpec, ops
 from repro.arrays import coords as C
 from repro.arrays.schema import ArraySchema
 from repro.core.modes import LineageMode
+from repro.core.query import QueryRequest
+from repro.errors import OperatorError
 from repro.ops.base import payload_union
 
 
@@ -339,6 +341,101 @@ class TestOperatorDefaults:
         op = bind(ops.Transpose(), (3, 5))
         assert op.map_b((1, 2)).tolist() == [[2, 1]]
         assert op.map_f((1, 2)).tolist() == [[2, 1]]
+
+
+# -- every built-in through a workflow run ---------------------------------------
+
+_A = np.arange(1, 25, dtype=np.float64).reshape(4, 6) / 7.0
+_B = np.arange(12, dtype=np.float64).reshape(2, 6)
+_SQ = _A[:, :4] + 4.0 * np.eye(4)
+_V, _W = np.asarray([1.0, 2.0, 3.0]), np.asarray([4.0, 5.0])
+
+
+def _shifted(a):
+    out = np.zeros_like(a)
+    out[1:, :4] = a[:-1, 2:]  # out[r, c] = a[r - 1, c + 2]
+    return out
+
+
+def _window_max(a):
+    padded = np.pad(a, 1, mode="edge")
+    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3)).max(axis=(2, 3))
+
+
+#: (operator factory, inputs, the output's attributes as a NumPy expression)
+WORKFLOW_CASES = {
+    "Shift": (lambda: ops.Shift((1, -2)), [_A], lambda a: [_shifted(a)]),
+    "Flip": (lambda: ops.Flip(axis=1), [_A], lambda a: [np.flip(a, axis=1)]),
+    "Rotate90": (lambda: ops.Rotate90(), [_A], lambda a: [np.rot90(a)]),
+    "WindowReduce": (lambda: ops.WindowReduce(3, "max"), [_A], lambda a: [_window_max(a)]),
+    "Reshape": (lambda: ops.Reshape((6, 4)), [_A], lambda a: [a.reshape(6, 4)]),
+    "MatrixInverse": (lambda: ops.MatrixInverse(), [_SQ], lambda a: [np.linalg.inv(a)]),
+    "SliceOp": (lambda: ops.SliceOp((1, 2), (3, 5)), [_A], lambda a: [a[1:3, 2:5]]),
+    "Concat": (lambda: ops.Concat(axis=0), [_A, _B], lambda a, b: [np.concatenate([a, b])]),
+    "Subsample": (lambda: ops.Subsample((2, 3)), [_A], lambda a: [a[::2, ::3]]),
+    "Reduce": (lambda: ops.Reduce(axis=1, fn=np.sum), [_A], lambda a: [a.sum(axis=1)]),
+    "Standardize": (lambda: ops.Standardize(), [_A], lambda a: [(a - a.mean()) / a.std()]),
+    "AttributeJoin": (lambda: ops.AttributeJoin(), [_A, _A * 2], lambda a, b: [a, b]),
+    "CrossProduct": (lambda: ops.CrossProduct(), [_V, _W], lambda a, b: [np.outer(a, b)]),
+}
+
+
+def _cell_set(coords) -> set:
+    return {tuple(c) for c in np.asarray(coords).tolist()}
+
+
+@pytest.mark.parametrize("name", sorted(WORKFLOW_CASES))
+def test_builtin_runs_and_answers_map_queries(name):
+    """Each operator runs in a one-node workflow; its output equals a NumPy
+    expression, and MAP queries both ways equal the union of the per-cell
+    ``map_b`` / ``map_f``."""
+    make, arrays, expected = WORKFLOW_CASES[name]
+    spec = WorkflowSpec(name=name)
+    sources = [spec.add_source(f"x{i}") for i in range(len(arrays))]
+    spec.add_node("op", make(), sources)
+    sz = SubZero(spec, enable_query_opt=False)
+    sz.set_strategy("op", MAP)
+    sz.run({src: SciArray.from_numpy(a) for src, a in zip(sources, arrays)})
+    out = sz.instance.output_array("op")
+    got = [out.values(attr) for attr in out.schema.attr_names]
+    want = expected(*arrays)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.allclose(g, w)
+    op = sz.instance.operator("op")
+    out_cells = C.all_coords(op.output_shape)[[0, -1]]
+    for idx in range(op.arity):
+        in_cells = C.all_coords(op.input_shapes[idx])[[0, -1]]
+        backward = sz.query(QueryRequest.backward(out_cells, [("op", idx)]))
+        assert _cell_set(backward.coords) == set().union(
+            *(_cell_set(op.map_b(tuple(c), idx)) for c in out_cells)
+        )
+        forward = sz.query(QueryRequest.forward(in_cells, [("op", idx)]))
+        assert _cell_set(forward.coords) == set().union(
+            *(_cell_set(op.map_f(tuple(c), idx)) for c in in_cells)
+        )
+    sz.close()
+
+
+class _FullWithoutWriter(ops.Operator):
+    """Declares FULL but never overrides ``write_lineage``."""
+
+    def compute(self, inputs):
+        return SciArray.from_numpy(inputs[0].values().copy(), name=self.name)
+
+    def supported_modes(self):
+        return frozenset({LineageMode.FULL, LineageMode.BLACKBOX})
+
+
+def test_full_operator_without_write_lineage_fails_typed():
+    spec = WorkflowSpec(name="nowriter")
+    spec.add_source("img")
+    spec.add_node("n", _FullWithoutWriter(), ["img"])
+    sz = SubZero(spec, enable_query_opt=False)
+    sz.set_strategy("n", FULL_ONE_B)
+    with pytest.raises(OperatorError, match="does not implement write_lineage"):
+        sz.run({"img": SciArray.from_numpy(np.ones((3, 3)))})
+    sz.close()
 
 
 # -- payload expansion: map_p_batch / payload_union against per-row map_p ----------

@@ -42,7 +42,6 @@ from repro.storage.partition import (
     assign_partition,
     is_partitioned_root,
 )
-from repro.workflow.executor import execute_workflow
 from repro.workflow.recovery import recover_lineage
 from tests.conftest import build_spot_spec
 from tests.test_segments import ALL_FULL, SHAPE, _answers, sinks
@@ -197,7 +196,7 @@ class TestScatterRouting:
     def test_multi_partition_key_merges_via_overlay(self, tmp_path):
         # force one key into two partitions by writing it under both
         # explicit ids, then borrowing through a map that no longer
-        # covers it — the union must be a kind="partition" overlay
+        # covers it — the union must be an overlay of both partitions
         sink, query = _fixed_sink()
         strategy = FULL_ONE_B
         stores = {}
@@ -221,7 +220,6 @@ class TestScatterRouting:
             part._node_map.pop("dup")
             record = part.borrow("dup", strategy)
             assert isinstance(record.store, OverlayStore)
-            assert record.store.kind == "partition"
             assert record.store.sources == 2
             # duplicated lineage unions to the same *set* answer as one
             # copy (the union concatenates cell lists, so exact-duplicate
@@ -445,6 +443,35 @@ class TestSubZeroPartitioned:
             assert report.compacted == []  # single-generation: nothing to merge
         finally:
             loaded.close()
+
+    def test_runtime_reads_and_accounts_through_the_root(self, tmp_path):
+        sink, query = _fixed_sink()
+        written = _filled_stores(FULL_ONE_B, sink)
+        part_dir = str(tmp_path / "p")
+        part, _ = PartitionedCatalog.write(part_dir, written, partitions=2)
+        part.close()
+        runtime = LineageRuntime()
+        runtime.load_all(part_dir)
+        try:
+            for node in NODES:
+                store = runtime.store_for(node, FULL_ONE_B)
+                matched, per_input = store.backward_full(query)
+                want_matched, want = written[(node, FULL_ONE_B)].backward_full(query)
+                assert matched.tolist() == want_matched.tolist()
+                assert sorted(per_input[0].tolist()) == sorted(want[0].tolist())
+            assert runtime.store_for("nope", FULL_ONE_B) is None
+            on_disk = sum(
+                os.path.getsize(os.path.join(root, name))
+                for root, _, names in os.walk(part_dir)
+                for name in names
+                if name.endswith(".seg")
+            )
+            assert runtime.total_disk_bytes() == on_disk
+            by_node = runtime.disk_bytes_by_node()
+            assert sorted(by_node) == sorted(NODES)
+            assert sum(by_node.values()) == on_disk
+        finally:
+            runtime.close()
 
     def test_append_then_partitions_rejected(self, tmp_path, rng):
         image = SciArray.from_numpy(rng.random((16, 18)))

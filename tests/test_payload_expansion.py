@@ -226,14 +226,14 @@ def test_multi_generation_payload_queries_match_per_cell_map_p(
     sz.resume(versions, wal=base.wal, lineage_dir=directory)
     assert sz.runtime.generation_count("s3", strategy) == 1 + len(TILES)
     op = sz.instance.operator("s3")
-    overlay_pair_reads = []
-    original = OverlayStore.backward_payload
+    overlay_reads = []
+    original = OverlayStore.backward_payload_rows
 
     def spy(self, qpacked):
-        overlay_pair_reads.append(qpacked.size)
+        overlay_reads.append(qpacked.size)
         return original(self, qpacked)
 
-    monkeypatch.setattr(OverlayStore, "backward_payload", spy)
+    monkeypatch.setattr(OverlayStore, "backward_payload_rows", spy)
 
     def lineage(cell) -> set[int]:
         """Union over generations of ``map_p(cell, payload)``."""
@@ -260,7 +260,7 @@ def test_multi_generation_payload_queries_match_per_cell_map_p(
         forward = sz.query(QueryRequest.forward(cells, [("s3", 0)]))
         want = sorted(p for p, ins in every.items() if ins & query)
         assert packed_answer(forward, GEN_SHAPE).tolist() == want
-    # the pair-based overlay read serves exactly the *Many layout
-    assert bool(overlay_pair_reads) == (strategy is PAY_MANY_B)
+    # one overlay read verb serves both payload layouts
+    assert overlay_reads
     sz.close()
     base.close()

@@ -126,10 +126,10 @@ def test_payload_store_roundtrip(tmp_path, strategy):
     clone = make_store("n", strategy, SHAPE, (SHAPE,))
     clone.load_segment(str(tmp_path / "store.seg"))
     q = C.pack_coords(cells((1, 2), (4, 4)), SHAPE)
-    a_matched, a_pairs = store.backward_payload(q)
-    b_matched, b_pairs = clone.backward_payload(q)
+    a_matched, a_hits, a_payloads = store.backward_payload_rows(q)
+    b_matched, b_hits, b_payloads = clone.backward_payload_rows(q)
     assert (a_matched == b_matched).all()
-    assert {p for _, p in a_pairs} == {p for _, p in b_pairs}
+    assert sorted(zip(a_hits.tolist(), a_payloads)) == sorted(zip(b_hits.tolist(), b_payloads))
 
 
 class TestRuntimeFlushAll:

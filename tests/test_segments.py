@@ -314,7 +314,7 @@ class TestRecoverLineage:
         q = C.pack_coords(np.asarray([(3, 3)], dtype=np.int64), out_shape)
         healthy = fresh.store_for("spot", PAY_ONE_B)
         assert healthy is not None
-        matched, _ = healthy.backward_payload(q)
+        matched, _, _ = healthy.backward_payload_rows(q)
         assert matched.shape == (1,)
 
     def test_quarantine_is_persisted_to_the_manifest(self, tmp_path, rng):

@@ -9,7 +9,9 @@ from repro import (
     MAP,
     SciArray,
     SubZero,
+    VersionStore,
 )
+from repro.core.query import QueryRequest
 from repro.errors import QueryError, WorkflowError
 from tests.conftest import build_spot_spec
 
@@ -97,3 +99,45 @@ class TestRunAndAccounting:
         sz = SubZero(build_spot_spec())
         sz.run({"img": image}, version_store=store)
         assert len(store) == 4
+
+
+class TestServingSurface:
+    def _served(self, image, tmp_path, budget=None):
+        """A fresh engine resumed over a flushed catalog (no resident store)."""
+        versions = VersionStore()
+        sz = SubZero(build_spot_spec(), enable_query_opt=False)
+        sz.set_strategy("spot", FULL_ONE_B)
+        sz.run({"img": image}, version_store=versions)
+        directory = str(tmp_path / "lineage")
+        sz.flush_lineage(directory)
+        served = SubZero(build_spot_spec(), enable_query_opt=False, memory_budget_bytes=budget)
+        served.resume(versions, wal=sz.wal, lineage_dir=directory)
+        sz.close()
+        return served
+
+    def test_session_pins_catalog_stores_until_closed(self, image, tmp_path):
+        sz = self._served(image, tmp_path, budget=1)
+        request = QueryRequest.backward([(3, 3), (8, 9)], ["spot"])
+        alone = sz.query(request).coords.tolist()
+        with sz.session() as session:
+            assert sz.query(request, session=session).coords.tolist() == alone
+            # over a 1-byte budget only the pin keeps the store mapped
+            assert sz.runtime.serving_stats()["open_mappings"] == 1
+            assert sz.query(request, session=session).coords.tolist() == alone
+        assert sz.runtime.serving_stats()["open_mappings"] == 0
+        with pytest.raises(QueryError):
+            session.store_for("spot", FULL_ONE_B)
+        sz.close()
+
+    def test_session_needs_a_runtime(self):
+        with pytest.raises(QueryError):
+            SubZero(build_spot_spec()).session()
+
+    def test_stop_maintenance_joins_the_worker(self, image, tmp_path):
+        sz = self._served(image, tmp_path)
+        worker = sz.start_maintenance(interval_s=0.01)
+        assert worker.running
+        sz.stop_maintenance()
+        assert not worker.running
+        sz.stop_maintenance()  # nothing left to stop
+        sz.close()
