@@ -138,6 +138,20 @@ class SyntheticLineageOp(Operator):
         packed = np.frombuffer(payload, dtype="<u4").astype(np.int64)
         return C.unpack_coords(packed, self.input_shapes[0])
 
+    def map_p_batch(self, out_coords, payloads, input_idx, within=None):
+        # a payload is its row's packed input cells, so the whole batch
+        # decodes in one pass; ``within`` is ignored (every row is exact)
+        n = C.as_coord_array(out_coords).shape[0]
+        if isinstance(payloads, np.ndarray):  # n rows of one width
+            buf = np.ascontiguousarray(payloads).tobytes()
+            lengths = np.full(n, len(buf) // 4 // max(n, 1), dtype=np.int64)
+        else:
+            lengths = np.fromiter((len(p) // 4 for p in payloads), np.int64, count=n)
+            buf = b"".join(payloads)
+        packed = np.frombuffer(buf, dtype="<u4").astype(np.int64)
+        rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        return C.unpack_coords(packed, self.input_shapes[0]), rows
+
     # -- query targets -------------------------------------------------------------
 
     def cells_with_lineage(self, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -49,8 +49,17 @@ Since the append-merge refactor the catalog is also **generational**:
   sessions pinned on the old generation set keep serving it — the delta
   files they still map are unlinked only when the last pin drops
   (``_OpenStore.unlink_on_close``).  Eviction accounting is per
-  generation: an open store is charged its manifest bytes, so an overlay
-  costs the sum of its generations' segment files.
+  generation: an open store is charged its manifest bytes, and an overlay
+  costs its base plus the deltas it has opened.  A borrow maps the base
+  (generation 0) only; each delta is a
+  :class:`~repro.core.overlay.LazySource` that maps its segment on first
+  read.  The catalog keeps every delta's filters resident once it has been
+  opened (bits copied off the mapping, about 10 bits per stored key) until
+  compaction, :meth:`drop_generation` or :meth:`close` forgets the entry,
+  so a re-borrow after eviction maps only the deltas a matched read may
+  need.  The base stays eager because compaction renames the merged
+  segment over its path; a superseded delta keeps its file until its last
+  holder closes, and no append reuses a name still on disk.
 
 The manifest records, per store generation: the node, the strategy triple,
 the generation ordinal (omitted when 0 — a never-appended catalog is
@@ -78,12 +87,15 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.analysis import lockcheck
 from repro.core.lineage_store import OpLineageStore, make_store
 from repro.core.modes import EncodingKind, LineageMode, Orientation, StorageStrategy
-from repro.core.overlay import FilterStats, OverlayStore
+from repro.core.overlay import FilterStats, LazySource, OverlayStore
 from repro.errors import StorageError
 from repro.storage import segment as seglib
+from repro.storage.filters import GenerationFilter
 
 __all__ = [
     "CatalogEntry",
@@ -184,8 +196,12 @@ class _OpenStore:
 
     key: tuple[str, StorageStrategy]
     store: OpLineageStore | None
+    #: the base generation's manifest bytes
     nbytes: int
     pins: int = 0
+    #: the overlay's lazily opened delta generations (empty for one
+    #: generation)
+    lazy: tuple[LazySource, ...] = ()
     #: 2Q tier: first-touch stores sit in ``probation`` (FIFO, first
     #: eviction victims); a re-reference promotes to ``protected`` (LRU)
     tier: str = "probation"
@@ -198,10 +214,12 @@ class _OpenStore:
     ready: threading.Event = field(default_factory=threading.Event)
 
     def resident_bytes(self) -> int:
-        """What this record costs the budget: its manifest bytes (the
-        segment file, or an overlay's generations summed) — reserved while
-        the store is still loading — and nothing once closed."""
-        return 0 if self.closed else self.nbytes
+        """What this record costs the budget: its base segment's manifest
+        bytes (reserved while the store is still loading) plus the deltas
+        its overlay has opened, and nothing once closed."""
+        if self.closed:
+            return 0
+        return self.nbytes + sum(source.resident_bytes() for source in self.lazy)
 
 
 class StoreCatalog:
@@ -265,6 +283,11 @@ class StoreCatalog:
         #: shared generation-skip counters, injected into every overlay this
         #: catalog opens so :meth:`stats` sees process-wide filter hit rates
         self._filter_stats = FilterStats()
+        #: ``(key, gen) -> (entry, filters)``: the resident filter copy of
+        #: every delta generation opened so far.  The entry is matched by
+        #: identity, so a copy a stale reader registers for a generation
+        #: that compaction already replaced is never served
+        self._resident_filters: dict[tuple, tuple[CatalogEntry, dict | None]] = {}
 
     # -- writing -------------------------------------------------------------
 
@@ -611,6 +634,8 @@ class StoreCatalog:
             self._entries[key] = tuple(
                 sorted((new_entry,) + survivors, key=lambda e: e.gen)
             )
+            for gen in merged_gens:
+                self._resident_filters.pop((key, gen), None)
             record = self._open.pop(key, None)
             # every record still serving the OLD generation set: the one we
             # just popped, plus any evicted-while-pinned stragglers
@@ -731,6 +756,7 @@ class StoreCatalog:
                 self._entries[(node, strategy)] = kept
             else:
                 self._entries.pop((node, strategy), None)
+            self._resident_filters.pop(((node, strategy), gen), None)
             record = self._open.pop((node, strategy), None)
             stale = self._retire_locked(record) if record is not None else []
         self._reclaim(stale)
@@ -796,15 +822,22 @@ class StoreCatalog:
                 record = _OpenStore(
                     key=key,
                     store=None,
-                    nbytes=sum(e.nbytes for e in generations),
+                    nbytes=generations[0].nbytes,
                     pins=1,
                     tier=tier,
                 )
                 self._open[key] = record
                 load_entries = generations  # this thread inserted the placeholder
+                hits = [self._resident_filters.get((key, e.gen)) for e in generations[1:]]
+                delta_filters = [
+                    hit[1] if hit is not None and hit[0] is e else LazySource.UNKNOWN
+                    for hit, e in zip(hits, generations[1:])
+                ]
         if load_entries is not None:  # ...so this thread performs the open
             try:
-                store = self._open_generations(node, strategy, load_entries)
+                store, record.lazy = self._open_generations(
+                    key, load_entries, delta_filters
+                )
             except BaseException as exc:
                 with self._lock:
                     record.error = exc
@@ -833,25 +866,47 @@ class StoreCatalog:
 
     def _open_generations(
         self,
-        node: str,
-        strategy: StorageStrategy,
+        key: tuple[str, StorageStrategy],
         generations: tuple[CatalogEntry, ...],
+        delta_filters: list,
+    ) -> tuple[OpLineageStore, tuple[LazySource, ...]]:
+        """Map a key's base; a single generation comes back as the plain
+        store, several as the overlay over the base and one
+        :class:`LazySource` per delta, each given its resident filter copy
+        (``LazySource.UNKNOWN`` before its first open).  Returns
+        ``(store, lazy deltas)``."""
+        base = self._load_generation(key, generations[0])
+        if len(generations) == 1:
+            return base, ()
+        lazy = tuple(
+            LazySource(
+                entry,
+                lambda entry=entry: self._open_delta(key, entry),
+                filters,
+            )
+            for entry, filters in zip(generations[1:], delta_filters)
+        )
+        return OverlayStore([base, *lazy], filter_stats=self._filter_stats), lazy
+
+    def _load_generation(
+        self, key: tuple[str, StorageStrategy], entry: CatalogEntry
     ) -> OpLineageStore:
-        """Open every live generation of a key; a single generation comes
-        back as the plain store, several as the overlay union view."""
-        stores: list[OpLineageStore] = []
-        try:
-            for entry in generations:
-                store = make_store(node, strategy, entry.out_shape, entry.in_shapes)
-                store.load_segment(os.path.join(self.directory, entry.file))
-                stores.append(store)
-        except BaseException:
-            for store in stores:
-                store.close()
-            raise
-        if len(stores) == 1:
-            return stores[0]
-        return OverlayStore(stores, filter_stats=self._filter_stats)
+        """Map one generation's segment into a fresh layout store."""
+        store = make_store(key[0], key[1], entry.out_shape, entry.in_shapes)
+        store.load_segment(os.path.join(self.directory, entry.file))
+        return store
+
+    def _open_delta(
+        self, key: tuple[str, StorageStrategy], entry: CatalogEntry
+    ) -> tuple[OpLineageStore, dict | None]:
+        """A :class:`LazySource`'s opener: map one delta and keep a copy of
+        its filters resident while the entry is live."""
+        store = self._load_generation(key, entry)
+        filters = _resident_copy(store._filters)
+        with self._lock:
+            if any(e is entry for e in self._entries.get(key, ())):
+                self._resident_filters[(key, entry.gen)] = (entry, filters)
+        return store, filters
 
     def release(self, record: _OpenStore) -> None:
         """Drop one pin; a record evicted while pinned closes on the last
@@ -1076,6 +1131,7 @@ class StoreCatalog:
             records = list(self._open.values()) + list(self._lingering)
             self._open.clear()
             self._lingering.clear()
+            self._resident_filters.clear()
             stale: list[str] = []
             for record in records:
                 record.evicted = True
@@ -1087,3 +1143,14 @@ class StoreCatalog:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _resident_copy(filters: dict | None) -> dict | None:
+    """A loaded store's filters with the bloom bits copied off the mapping,
+    so they stay valid after the segment closes."""
+    if filters is None:
+        return None
+    return {
+        tag: GenerationFilter.from_meta(f.meta(), np.array(f.bits))
+        for tag, f in filters.items()
+    }

@@ -41,8 +41,13 @@ Design points:
 * The overlay is read-only: ingest/absorb go to the concrete layouts.  A
   full (non-append) re-flush of an overlay collapses it — the segment it
   writes is the compacted merge.
-* The overlay maps no segment of its own; the serving cache charges an
-  open overlay the manifest bytes of its sources, one segment file each.
+* The overlay maps no segment of its own.  A catalog-served generation
+  overlay holds its base eagerly and each delta as a :class:`LazySource`
+  that maps its segment on first read; the serving cache charges the
+  base plus the deltas actually opened.  A lazy delta answers the skip
+  probe from filters the catalog keeps resident (bits copied off the
+  mapping, about 10 bits per stored key), so a matched read never maps a
+  delta its filter rules out.
 
 Query answers over an overlay are *set-identical* to the same lineage in
 one store: every public read returns packed cell sets (or per-cell
@@ -56,8 +61,9 @@ import numpy as np
 
 from repro.analysis import lockcheck
 from repro.core.lineage_store import OpLineageStore, _concat, make_store
+from repro.errors import StorageError
 
-__all__ = ["FilterStats", "LineageSource", "OverlayStore"]
+__all__ = ["FilterStats", "LazySource", "LineageSource", "OverlayStore"]
 
 #: The union-member contract.  Anything that answers the
 #: :class:`~repro.core.lineage_store.OpLineageStore` read API can be a
@@ -109,6 +115,114 @@ class FilterStats:
                 "generations_skipped": self.generations_skipped,
                 "bloom_fp": self.bloom_fp,
             }
+
+
+class LazySource:
+    """A lineage source that maps its segment only on its first read.
+
+    ``entry`` is the source's :class:`~repro.core.catalog.CatalogEntry`;
+    ``opener()`` maps the segment (outside every lock) and returns
+    ``(store, filters)`` — the concrete store and its resident filter copy
+    (None when the segment has none).  Given ``filters`` resident from an
+    earlier open, :meth:`filter_decision` answers without mapping, so the
+    overlay's skip loop leaves a ruled-out source unopened; without them,
+    the probe opens the source to learn its filters.  Two threads racing
+    on the first read share one mapping: the loser closes its copy.
+    ``lowered_ready`` and ``persists_filters`` answer from the entry;
+    every other read maps the source and delegates to it.  Not a layout
+    store itself, so a delegated read is one store call, not two.
+    """
+
+    #: the ``filters`` of a source never opened in this catalog
+    UNKNOWN = object()
+
+    def __init__(self, entry, opener, filters=UNKNOWN):
+        self.node = entry.node
+        self.strategy = entry.strategy
+        self.out_shape = entry.out_shape
+        self.in_shapes = entry.in_shapes
+        self._entry = entry
+        self._opener = opener
+        self._filters = filters
+        self._store: OpLineageStore | None = None
+        self._closed = False
+        self._lock = lockcheck.make_lock("overlay.lazy")
+
+    def resident_bytes(self) -> int:
+        """The source's segment bytes once mapped, 0 before and after."""
+        return self._entry.nbytes if self._store is not None else 0
+
+    def resolve(self) -> OpLineageStore:
+        """The concrete store, mapping the segment on the first call."""
+        store = self._store
+        if store is not None:
+            return store
+        if not self._closed:
+            fresh, filters = self._opener()
+            with self._lock:
+                if not self._closed and self._store is None:
+                    # filters first: a reader that sees the store set must
+                    # also see them
+                    if self._filters is self.UNKNOWN:
+                        self._filters = filters
+                    self._store, fresh = fresh, None
+                store = self._store
+            if fresh is not None:
+                fresh.close()  # lost the race (or closed meanwhile)
+        if store is None:
+            raise StorageError(
+                f"lineage store ({self.node!r}, {self.strategy.label}) "
+                f"generation {self._entry.gen} is closed"
+            )
+        return store
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            # a closed source reads (and raises) rather than skip
+            store, self._store, self._filters = self._store, None, None
+        if store is not None:
+            store.close()
+
+    def filter_decision(self, tag, qpacked):
+        """:meth:`OpLineageStore.filter_decision`, from the resident copy."""
+        filters = self._filters
+        if filters is self.UNKNOWN:
+            self.resolve()
+            filters = self._filters
+        f = None if filters is None else filters.get(tag)
+        return None if f is None else f.may_contain(qpacked)
+
+    def lowered_ready(self) -> bool:
+        return self._entry.lowered
+
+    def persists_filters(self) -> bool:
+        return self._entry.filters
+
+    def backward_full(self, qpacked, only_input=None):
+        return self.resolve().backward_full(qpacked, only_input=only_input)
+
+    def forward_full(self, qpacked, input_idx):
+        return self.resolve().forward_full(qpacked, input_idx)
+
+    def backward_payload_rows(self, qpacked):
+        return self.resolve().backward_payload_rows(qpacked)
+
+    def scan_forward_full(self, qpacked, input_idx, ticker=None):
+        return self.resolve().scan_forward_full(qpacked, input_idx, ticker=ticker)
+
+    def scan_backward_full(self, qpacked, ticker=None):
+        return self.resolve().scan_backward_full(qpacked, ticker=ticker)
+
+    def payload_entries(self):
+        return self.resolve().payload_entries()
+
+    def overridden_keys(self):
+        return self.resolve().overridden_keys()
+
+    @property
+    def n_entries(self) -> int:
+        return self.resolve().n_entries
 
 
 class OverlayStore(OpLineageStore):
@@ -170,7 +284,7 @@ class OverlayStore(OpLineageStore):
         first, finalized and independent of the generations' mappings."""
         merged = make_store(self.node, self.strategy, self.out_shape, self.in_shapes)
         for store in self._sources:
-            merged.absorb(store)
+            merged.absorb(store.resolve() if isinstance(store, LazySource) else store)
         merged.finalize_if_possible()
         return merged
 
@@ -281,6 +395,11 @@ class OverlayStore(OpLineageStore):
         concat IS the payload-path read amplification compaction removes —
         a compacted store hands back its own columns with no copy.
         """
+        # map lazy sources before taking the lock: an open takes the
+        # catalog lock, which a close holds while it takes this one
+        for store in self._sources:
+            if isinstance(store, LazySource):
+                store.resolve()
         with self._plock:
             if self._merged_payload is None:
                 key_parts: list[np.ndarray] = []

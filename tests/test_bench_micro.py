@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import BLACKBOX, FULL_MANY_B, FULL_ONE_B, FULL_ONE_F, PAY_ONE_B, SubZero
+from repro.arrays.schema import ArraySchema
 from repro.bench.micro import MicroBenchmark, SyntheticLineageOp, _generate_pairs
 
 SHAPE = (80, 80)
@@ -90,3 +91,27 @@ class TestMicroBenchmark:
             sizes[fanin] = sz.lineage_disk_bytes()
         # paper: payload overhead nearly independent of fanin (vs Full's blow-up)
         assert sizes[16] < sizes[1] * 8
+
+
+@pytest.mark.parametrize("fanin", [1, 25])
+@pytest.mark.parametrize("as_matrix", [True, False], ids=["matrix", "list"])
+def test_map_p_batch_equals_per_row_map_p_many(fanin, as_matrix):
+    """The vectorised override decodes every row exactly as ``map_p_many``
+    does, for fixed-width (matrix) and ragged (list) payloads alike."""
+    op = SyntheticLineageOp(shape=SHAPE, fanin=fanin, coverage=0.05, seed=3)
+    op.bind((ArraySchema.dense(SHAPE),))
+    rng = np.random.default_rng(fanin)
+    n = 40
+    out_coords = rng.integers(0, SHAPE[0], size=(n, 2))
+    cells = [rng.integers(0, SHAPE[0], size=(fanin, 2)) for _ in range(n)]
+    payloads = [op._encode_payload(c) for c in cells]
+    if as_matrix:
+        payloads = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(n, -1)
+    else:
+        payloads[::3] = [op._encode_payload(c[:1]) for c in cells[::3]]  # ragged
+    got, rows = op.map_p_batch(out_coords, payloads, 0)
+    for i in range(n):
+        payload = bytes(payloads[i]) if as_matrix else payloads[i]
+        want = op.map_p_many(out_coords[i: i + 1], payload, 0)
+        assert np.array_equal(got[rows == i], want)
+    assert rows.tolist() == sorted(rows.tolist())

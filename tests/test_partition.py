@@ -23,6 +23,7 @@ Five contracts under test:
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,9 +333,9 @@ class TestTornPartition:
         entry = part.partition(pid).entry(victim_node, strategy)
         part.close()
         seg_path = os.path.join(directory, pid, entry.file)
-        raw = bytearray(open(seg_path, "rb").read())
+        raw = bytearray(Path(seg_path).read_bytes())
         raw[-10] ^= 0xFF
-        open(seg_path, "wb").write(bytes(raw))
+        Path(seg_path).write_bytes(bytes(raw))
 
         report = recover_lineage(directory)
         try:
@@ -521,9 +522,9 @@ class TestRootManifest:
         import json
 
         path = os.path.join(str(tmp_path / "p"), PARTITIONS_MANIFEST)
-        manifest = json.load(open(path))
+        manifest = json.loads(Path(path).read_text())
         manifest["version"] = 99
-        json.dump(manifest, open(path, "w"))
+        Path(path).write_text(json.dumps(manifest))
         with pytest.raises(StorageError, match="newer than supported"):
             PartitionedCatalog.open(str(tmp_path / "p"))
 

@@ -18,6 +18,7 @@ Four layers under test:
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,9 +108,9 @@ class TestSegmentContainer:
         writer = SegmentWriter()
         writer.add_bytes("x", b"abc")
         writer.write(path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[4:6] = (99).to_bytes(2, "little")  # version field
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(StorageError, match="newer than supported"):
             Segment.open(path)
 
@@ -118,10 +119,10 @@ class TestSegmentContainer:
         writer = SegmentWriter()
         writer.add_array("vec", np.arange(64, dtype=np.int64))
         writer.write(path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         for cut in (3, 10, len(raw) // 2):
             trunc = str(tmp_path / f"cut{cut}.seg")
-            open(trunc, "wb").write(raw[:cut])
+            Path(trunc).write_bytes(raw[:cut])
             with pytest.raises(StorageError):
                 Segment.open(trunc, verify=True)
 
@@ -133,9 +134,9 @@ class TestSegmentContainer:
         seg = Segment.open(path)
         offset = seg._sections["vec"]["offset"]
         seg.close()
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[offset + 5] ^= 0x40
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         assert Segment.open(path) is not None  # structure still parses
         with pytest.raises(StorageError, match="checksum"):
             Segment.open(path, verify=True)
@@ -261,8 +262,8 @@ class TestStoreSegmentCorruption:
         store.ingest(sink)
         path = str(tmp_path / "store.seg")
         store.flush_segment(path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[: len(raw) - len(raw) // 3])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[: len(raw) - len(raw) // 3])
         clone = make_store("n", strategy, SHAPE, (SHAPE,))
         with pytest.raises(StorageError):
             clone.load_segment(path)

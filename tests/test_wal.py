@@ -47,14 +47,15 @@ class TestWriteAheadLog:
         log.append(make_record("a", out=1))
         log.append(make_record("b", out=2))
         log.close()
-        replayed = WriteAheadLog.replay(path)
-        assert [r.node for r in replayed] == ["a", "b"]
-        assert replayed.records()[1].output_version == 2
+        with WriteAheadLog.replay(path) as replayed:
+            assert [r.node for r in replayed] == ["a", "b"]
+            assert replayed.records()[1].output_version == 2
 
     def test_replay_skips_blank_lines(self, tmp_path):
         path = tmp_path / "wal.log"
         path.write_text(make_record().to_json() + "\n\n")
-        assert len(WriteAheadLog.replay(str(path))) == 1
+        with WriteAheadLog.replay(str(path)) as log:
+            assert len(log) == 1
 
     def test_replay_corrupt_raises(self, tmp_path):
         path = tmp_path / "wal.log"
