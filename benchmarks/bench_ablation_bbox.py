@@ -51,8 +51,9 @@ def coverage_rows(setup):
             axis=1,
         ).astype(np.int64)
         start = time.perf_counter()
-        entry_ids = store._table.candidate_entries(cells)
-        lo, hi = store._table.entry_boxes()
+        entries = store._components()["table"]
+        entry_ids = entries.candidate_entries(cells)
+        lo, hi = entries.entry_boxes()
         if entry_ids.size:
             merged_lo = lo[entry_ids].min(axis=0)
             merged_hi = hi[entry_ids].max(axis=0)
@@ -81,8 +82,9 @@ def test_bbox_retrieval_cost(benchmark, setup):
     ).astype(np.int64)
 
     def retrieve_and_merge():
-        entry_ids = store._table.candidate_entries(cells)
-        lo, hi = store._table.entry_boxes()
+        entries = store._components()["table"]
+        entry_ids = entries.candidate_entries(cells)
+        lo, hi = entries.entry_boxes()
         return lo[entry_ids].min(axis=0), hi[entry_ids].max(axis=0)
 
     benchmark.pedantic(retrieve_and_merge, rounds=3, iterations=1)

@@ -48,7 +48,8 @@ Since the append-merge refactor the catalog is also **generational**:
   renamed into place, the manifest is swapped atomically, and concurrent
   sessions pinned on the old generation set keep serving it — the delta
   files they still map are unlinked only when the last pin drops
-  (``_OpenStore.unlink_on_close``).  Eviction accounting is per
+  (``StoreCatalog._deferred_unlink``, queued by
+  ``StoreCatalog._defer_unlink_locked``).  Eviction accounting is per
   generation: an open store is charged its manifest bytes, and an overlay
   costs its base plus the deltas it has opened.  A borrow maps the base
   (generation 0) only; each delta is a

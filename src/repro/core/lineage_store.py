@@ -1,29 +1,33 @@
 """Per-operator lineage stores: the encoding strategies of §VI-B.
 
 Each workflow node that stores region lineage gets one store object per
-:class:`~repro.core.modes.StorageStrategy`.  The four concrete layouts match
-Figure 4 of the paper:
+:class:`~repro.core.modes.StorageStrategy`.  The strategies are one
+product — Full/Pay × One/Many × backward/forward (Figure 4) — so a single
+kernel, :class:`LayoutStore`, serves them all.  It reads its layout off
+the strategy as key *surfaces* × value *fields*: a backward (or payload)
+layout keys the output cells, one surface whose Full value holds one cell
+set per input; a forward layout keys each input's cells, one surface per
+input whose value holds the output cells.
 
-``FullOne``
-    One hash entry per key-side *cell*; the value references a single shared
-    entry holding the other side's cells (or, for one-to-one pairs written
+``One``
+    One hash entry per key *cell*; the value references a single shared
+    blob holding the other side's cells (or, for one-to-one pairs written
     through the bulk API, the single cell is inlined — same 8 bytes, no
     indirection).  Queries are direct hash lookups.
 
-``FullMany``
-    One entry per *region pair*: the key is the serialized key-side cell
-    set, indexed by an R-tree over its bounding box; the value is the
-    serialized other side.
+``Many``
+    One entry per *region pair* and surface: the key is the serialized
+    key-side cell set, indexed by an R-tree over its bounding box; the
+    value is the serialized other side.
 
-``PayOne`` / ``PayMany``
-    As above, but the value is the developer payload (duplicated per key
-    cell for ``PayOne``, exactly as the paper describes).  Composite lineage
-    reuses the payload layouts.
+``Pay`` / ``Comp``
+    Keyed like the backward layouts, but the value is the developer
+    payload (duplicated per key cell for ``One``, exactly as the paper
+    describes); composite lineage stores its payload overrides this way.
 
-Every store is *oriented*: backward-optimized stores key by output cells,
-forward-optimized ones key by input cells (one sub-store per input array,
-since cells of different inputs would collide after bit-packing).  Queries
-against the matching orientation are hash probes / R-tree descents — and
+Forward layouts keep one sub-store per input array, since cells of
+different inputs would collide after bit-packing.  Queries against the
+matching orientation are hash probes / R-tree descents — and
 R-tree candidate collection descends *once per query coordinate batch*
 (:meth:`~repro.storage.rtree.RTree.query_points`), not once per cell.
 Queries against the wrong orientation fall back to a scan over every entry
@@ -619,7 +623,15 @@ class _ClosedComponent:
 
 
 class OpLineageStore:
-    """Base class: strategy-specific layout + shared accounting."""
+    """The lineage-store read/write interface plus shared persistence.
+
+    :class:`LayoutStore` is the one concrete layout and
+    :class:`~repro.core.overlay.OverlayStore` the union view over several.
+    The persistence methods here run over the component hooks a concrete
+    layout supplies: ``_components()`` (name → sub-store, in section
+    order), ``_set_component(name, obj)``, ``_filter_key_arrays()``,
+    ``finalize_if_possible()`` and ``warm_lowered_tables()``.
+    """
 
     def __init__(
         self,
@@ -648,33 +660,7 @@ class OpLineageStore:
     def ingest(self, sink: BufferSink) -> None:
         raise NotImplementedError
 
-    def finalize_if_possible(self) -> None:
-        """Sort/index pending writes now so the cost lands at write time,
-        mirroring the paper's bulk encoding during workflow execution."""
-        for store in self._hash_stores():
-            store.finalize()
-        for table in self._entry_tables():
-            table.finalize()
-
-    def _hash_stores(self) -> list[HashStore]:
-        return []
-
-    def _entry_tables(self) -> list["RegionEntryTable"]:
-        return []
-
     # -- persistence -------------------------------------------------------
-
-    def _components(self) -> dict[str, object]:
-        """Named sub-stores, for flush/load; overridden per layout."""
-        return {}
-
-    def _filter_key_arrays(self) -> dict[str, tuple[np.ndarray, tuple]]:
-        """The matched-read key surfaces to summarise at flush time:
-        ``tag -> (packed keys, shape)``.  Backward-keyed layouts expose one
-        surface (``"b"``, output-packed); forward layouts one per input
-        (``"f<i>"``, input-packed).  Overridden per layout; an empty dict
-        flushes no filter sections."""
-        return {}
 
     def persists_filters(self) -> bool:
         """True when :meth:`flush_segment` will write bloom/zone filter
@@ -696,20 +682,6 @@ class OpLineageStore:
         if f is None:
             return None
         return f.may_contain(qpacked)
-
-    def _set_component(self, name: str, obj) -> None:
-        raise StorageError(f"{type(self).__name__} has no component {name!r}")
-
-    def warm_lowered_tables(self) -> None:
-        """Build the lowered batch-probe tables every mismatched scan of
-        this layout would need, so a flush persists them and a reloaded
-        store starts warm.  Overridden by the Full layouts; the payload
-        layouts scan columnar state and have nothing to lower."""
-
-    def lowered_ready(self) -> bool:
-        """True when a mismatched-orientation scan runs off cached/persisted
-        lowered tables — no codec header walk left to pay."""
-        return True
 
     def flush_segment(self, path: str) -> int:
         """Persist the whole store — every component plus the lowered
@@ -819,15 +791,7 @@ class OpLineageStore:
 
     def absorb(self, other: "OpLineageStore") -> None:
         """Merge every entry of ``other`` (same layout and shapes) into this
-        store — the compaction merge writer.
-
-        Works at the component level: hash segments and entry tables
-        concatenate (the multimap/entry-set contracts make union exactly
-        concatenation), blob heaps append with the id base returned by
-        :meth:`~repro.storage.kvstore.BlobStore.extend_from` re-basing the
-        refs that point into them.  All absorbed bytes are copied, so the
-        merged store stays valid after the generations' segments close.
-        Overridden per layout."""
+        store — the compaction merge writer."""
         raise LineageError(f"{self.strategy.label} store cannot absorb generations")
 
     # -- matched-orientation reads -------------------------------------------
@@ -887,315 +851,389 @@ class OpLineageStore:
         raise NotImplementedError
 
 
-class _FullBackwardOne(OpLineageStore):
-    """``<-FullOne``: hash key = output cell, value = inlined input cell
-    (one-to-one bulk writes) or a reference into the shared entry blob."""
+class LayoutStore(OpLineageStore):
+    """The one concrete store: a point of Figure 4's product, read off its
+    strategy at construction (see the module docstring for the layouts).
+
+    Key surfaces carry the filter tags: ``b`` for the output, ``f<i>`` for
+    input ``i``.  ``One`` keeps one ``direct`` hash store per input for
+    one-to-one pairs (key cell → the single cell on the other side, fixed
+    width), one ``refs`` hash store per surface (key cell → blob id) and one
+    shared ``blobs`` heap of encoded values.  ``Many`` keeps one
+    :class:`RegionEntryTable` per surface; a pair with no key cells on a
+    surface stores no entry there.  ``Pay``/``Comp`` keep a ``pay`` hash
+    store (``One``) or a ``paytable`` (``Many``).
+
+    Component names are segment section prefixes, so they are on-disk
+    format; the ``store`` section lists them in :meth:`_components` order
+    (``docs/storage_format.md``).
+    """
 
     def __init__(self, node, strategy, out_shape, in_shapes):
+        if not strategy.stores_pairs:
+            raise LineageError(f"{strategy.label} does not materialise lineage")
         super().__init__(node, strategy, out_shape, in_shapes)
-        self._direct = [HashStore(f"{node}.direct{i}") for i in range(self.arity)]
-        self._refs = HashStore(f"{node}.refs")
-        self._blobs = BlobStore(f"{node}.blobs")
-
-    def _hash_stores(self):
-        return [*self._direct, self._refs]
-
-    def _components(self):
-        out = {f"direct{i}": s for i, s in enumerate(self._direct)}
-        out["refs"] = self._refs
-        out["blobs"] = self._blobs
-        return out
-
-    def _set_component(self, name, obj):
-        if name.startswith("direct"):
-            self._direct[int(name[6:])] = obj
-        elif name == "refs":
-            self._refs = obj
+        self._payload = strategy.mode in (LineageMode.PAY, LineageMode.COMP)
+        self._one = strategy.encoding is EncodingKind.ONE
+        #: keyed by the output cells (else by each input's cells)
+        self._by_out = self._payload or strategy.orientation is Orientation.BACKWARD
+        if self._by_out:
+            #: ``(filter tag, key shape)`` per key surface
+            self._surfaces = (("b", self.out_shape),)
+            prefix, tails = "", [""]
         else:
-            self._blobs = obj
-
-    def _filter_key_arrays(self):
-        keys = [s.keys_array() for s in self._direct]
-        keys.append(self._refs.keys_array())
-        return {"b": (_concat(keys), self.out_shape)}
-
-    def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.elementwise:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            for i, cells in enumerate(batch.incells):
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
-                self._direct[i].put_many_fixed(out_packed, in_packed)
-        for rb in sink.region_batches:
-            if rb.is_payload:
-                continue
-            vbuf, vlens = encode_full_values(
-                [
-                    C.pack_coords(cells, self.in_shapes[i])
-                    for i, cells in enumerate(rb.in_coords)
-                ],
-                rb.in_offsets,
+            self._surfaces = tuple((f"f{i}", s) for i, s in enumerate(self.in_shapes))
+            prefix, tails = "f", [str(i) for i in range(self.arity)]
+        #: cell-set fields per Full value
+        self._n_fields = self.arity if self._by_out else 1
+        # component names by role; a role the layout lacks stays empty
+        self._direct: list[str] = []
+        self._refs: list[str] = []
+        self._heap: str | None = None
+        self._tables: list[str] = []
+        if self._payload and self._one:
+            hashes = ["pay"]
+            #: per surface, the components keyed on it
+            self._keyed = [hashes]
+        elif self._one:
+            self._direct = [f"{prefix}direct{i}" for i in range(self.arity)]
+            self._refs = [f"{prefix}refs{t}" for t in tails]
+            self._heap = f"{prefix}blobs"
+            hashes = self._direct + self._refs
+            #: per surface, its direct stores in field order
+            self._direct_on = (
+                [self._direct] if self._by_out else [[d] for d in self._direct]
             )
-            ids = self._blobs.append_buffer(vbuf, vlens)
-            out_packed = C.pack_coords(rb.out_coords, self.out_shape)
-            self._refs.put_many_fixed(
-                out_packed, np.repeat(ids, np.diff(rb.out_offsets))
-            )
-
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        for i in range(self.arity):
-            self._direct[i].extend_from(other._direct[i])
-        base = self._blobs.extend_from(other._blobs)
-        keys, refs = other._refs.items_fixed()
-        if keys.size:
-            self._refs.put_many_fixed(keys, refs + base)
-
-    def backward_full(self, qpacked, only_input=None):
-        matched = np.zeros(qpacked.size, dtype=bool)
-        per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
-        for i, store in enumerate(self._direct):
-            qidx, cells = store.lookup_refs(qpacked)
-            if qidx.size:
-                matched[qidx] = True
-                if only_input is None or i == only_input:
-                    per_input[i].append(cells)
-        qidx, refs = self._refs.lookup_refs(qpacked)
-        if qidx.size:
-            matched[qidx] = True
-            for ref in np.unique(refs):
-                blob = self._blobs.get(int(ref))
-                if only_input is None:
-                    for i, cells in enumerate(decode_full_value(blob, self.arity)):
-                        per_input[i].append(cells)
-                else:
-                    per_input[only_input].append(
-                        _decode_value_field(blob, only_input)
-                    )
-        return matched, [_concat(parts) for parts in per_input]
-
-    def warm_lowered_tables(self) -> None:
-        for i in range(self.arity):
-            self._blobs.batch_probe(field=i).lowered_tables()
-
-    def lowered_ready(self) -> bool:
-        if len(self._blobs) == 0:
-            return True
-        return set(range(self.arity)) <= self._blobs.probe_fields()
-
-    def scan_forward_full(self, qpacked, input_idx, ticker=None):
-        query = np.sort(qpacked)
-        parts: list[np.ndarray] = []
-        out_keys, in_cells = self._direct[input_idx].items_fixed()
-        if out_keys.size:
-            parts.append(out_keys[C.isin_sorted(in_cells, query)])
-        if ticker is not None:
-            ticker()
-        ref_keys, refs = self._refs.items_fixed()
-        if ref_keys.size:
-            # one vectorised pass over the blob heap; refs are blob ids, so
-            # the per-blob verdicts index straight into the ref rows
-            verdicts = self._blobs.batch_probe(
-                field=input_idx, ticker=ticker
-            ).contains_any(query, ticker)
-            parts.append(ref_keys[verdicts[refs]])
-        return np.unique(_concat(parts))
-
-    def disk_bytes(self) -> int:
-        total = self._refs.disk_bytes() + self._blobs.disk_bytes()
-        return total + sum(s.disk_bytes() for s in self._direct)
-
-    @property
-    def n_entries(self) -> int:
-        return self._refs.n_entries + sum(s.n_entries for s in self._direct)
-
-
-class _FullBackwardMany(OpLineageStore):
-    """``<-FullMany``: one entry per region pair, keyed by the output cell
-    set, R-tree indexed."""
-
-    def __init__(self, node, strategy, out_shape, in_shapes):
-        super().__init__(node, strategy, out_shape, in_shapes)
-        self._table = RegionEntryTable(out_shape)
-
-    def _entry_tables(self):
-        return [self._table]
-
-    def _components(self):
-        return {"table": self._table}
-
-    def _set_component(self, name, obj):
-        self._table = obj
-
-    def _filter_key_arrays(self):
-        return {"b": (self._table.all_key_cells(), self.out_shape)}
-
-    def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.elementwise:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            encoded = [
-                encode_singleton_int_arrays(C.pack_coords(cells, self.in_shapes[i]))
-                for i, cells in enumerate(batch.incells)
-            ]
-            rows = np.concatenate(encoded, axis=1)
-            lengths = np.full(out_packed.size, rows.shape[1], dtype=np.int64)
-            self._table.add_singleton_entries(out_packed, rows.tobytes(), lengths)
-        for rb in sink.region_batches:
-            if rb.is_payload:
-                continue
-            vbuf, vlens = encode_full_values(
-                [
-                    C.pack_coords(cells, self.in_shapes[i])
-                    for i, cells in enumerate(rb.in_coords)
-                ],
-                rb.in_offsets,
-            )
-            self._table.add_entries(
-                C.pack_coords(rb.out_coords, self.out_shape),
-                np.diff(rb.out_offsets),
-                vbuf,
-                vlens,
-            )
-
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        self._table.extend_columns(*other._table.columns())
-
-    def backward_full(self, qpacked, only_input=None):
-        query_sorted = np.sort(qpacked)
-        coords = C.unpack_coords(qpacked, self.out_shape)
-        per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
-        candidates = self.candidate_entries(coords)
-        hit, hit_cells = self._table.match_keys(candidates, query_sorted)
-        fields = range(self.arity) if only_input is None else (only_input,)
-        for entry_id in candidates[hit]:
-            for i in fields:
-                per_input[i].append(self._table.value_cells(int(entry_id), field=i))
-        matched = np.isin(qpacked, hit_cells)
-        return matched, [_concat(parts) for parts in per_input]
-
-    def candidate_entries(self, coords: np.ndarray) -> np.ndarray:
-        return self._table.candidate_entries(coords)
-
-    def warm_lowered_tables(self) -> None:
-        for i in range(self.arity):
-            self._table.batch_probe(field=i).lowered_tables()
-
-    def lowered_ready(self) -> bool:
-        if self._table.n_entries == 0:
-            return True
-        return set(range(self.arity)) <= self._table.probe_fields()
-
-    def scan_forward_full(self, qpacked, input_idx, ticker=None):
-        query = np.sort(qpacked)
-        verdicts = self._table.batch_probe(
-            field=input_idx, ticker=ticker
-        ).contains_any(query, ticker)
-        return np.unique(self._table.entries_keys(np.flatnonzero(verdicts)))
-
-    def disk_bytes(self) -> int:
-        return self._table.disk_bytes()
-
-    @property
-    def n_entries(self) -> int:
-        return self._table.n_entries
-
-
-class _FullForwardOne(OpLineageStore):
-    """``->FullOne``: per input array, hash key = input cell."""
-
-    def __init__(self, node, strategy, out_shape, in_shapes):
-        super().__init__(node, strategy, out_shape, in_shapes)
-        self._direct = [HashStore(f"{node}.fdirect{i}") for i in range(self.arity)]
-        self._refs = [HashStore(f"{node}.frefs{i}") for i in range(self.arity)]
-        self._blobs = BlobStore(f"{node}.fblobs")
-
-    def _hash_stores(self):
-        return [*self._direct, *self._refs]
-
-    def _components(self):
-        out = {f"fdirect{i}": s for i, s in enumerate(self._direct)}
-        out.update({f"frefs{i}": s for i, s in enumerate(self._refs)})
-        out["fblobs"] = self._blobs
-        return out
-
-    def _set_component(self, name, obj):
-        if name.startswith("fdirect"):
-            self._direct[int(name[7:])] = obj
-        elif name.startswith("frefs"):
-            self._refs[int(name[5:])] = obj
+            self._keyed = [[*d, r] for d, r in zip(self._direct_on, self._refs)]
         else:
-            self._blobs = obj
+            hashes = []
+            self._tables = (
+                ["paytable"] if self._payload else [f"table{t}" for t in tails]
+            )
+            self._keyed = [[t] for t in self._tables]
+        #: the cell-set value heaps a mismatched scan lowers (payload
+        #: layouts scan columnar state instead)
+        if self._payload:
+            self._scanned = []
+        else:
+            self._scanned = [self._heap] if self._heap else self._tables
+        #: the component map, in section order
+        self._parts: dict[str, object] = {
+            name: HashStore(f"{node}.{name}") for name in hashes
+        }
+        if self._heap:
+            self._parts[self._heap] = BlobStore(f"{node}.{self._heap}")
+        for name, (_, shape) in zip(self._tables, self._surfaces):
+            self._parts[name] = RegionEntryTable(shape)
 
-    def _filter_key_arrays(self):
+    # -- component plumbing --------------------------------------------------
+
+    def _components(self) -> dict[str, object]:
+        """Named sub-stores in section order, for flush/load/close."""
+        return self._parts
+
+    def _set_component(self, name: str, obj) -> None:
+        self._parts[name] = obj
+
+    def _surface_keys(self, surface: int) -> np.ndarray:
+        parts = [
+            self._parts[name].keys_array()
+            if isinstance(self._parts[name], HashStore)
+            else self._parts[name].all_key_cells()
+            for name in self._keyed[surface]
+        ]
+        return parts[0] if len(parts) == 1 else _concat(parts)
+
+    def _filter_key_arrays(self) -> dict[str, tuple[np.ndarray, tuple]]:
+        """The matched-read key surfaces to summarise at flush time:
+        ``tag -> (packed keys, shape)``."""
         return {
-            f"f{i}": (
-                _concat([self._direct[i].keys_array(), self._refs[i].keys_array()]),
-                self.in_shapes[i],
-            )
-            for i in range(self.arity)
+            tag: (self._surface_keys(s), shape)
+            for s, (tag, shape) in enumerate(self._surfaces)
         }
 
+    def finalize_if_possible(self) -> None:
+        """Sort/index pending writes now so the cost lands at write time,
+        mirroring the paper's bulk encoding during workflow execution."""
+        for name, part in self._parts.items():
+            if name != self._heap:
+                part.finalize()
+
+    def warm_lowered_tables(self) -> None:
+        """Build the lowered batch-probe tables every mismatched scan of
+        this layout would need, so a flush persists them and a reloaded
+        store starts warm.  Payload layouts scan columnar state and have
+        nothing to lower."""
+        for name in self._scanned:
+            for field in range(self._n_fields):
+                self._parts[name].batch_probe(field=field).lowered_tables()
+
+    def lowered_ready(self) -> bool:
+        """True when a mismatched-orientation scan runs off cached/persisted
+        lowered tables — no codec header walk left to pay."""
+        fields = set(range(self._n_fields))
+        for name in self._scanned:
+            part = self._parts[name]
+            empty = (len(part) if name == self._heap else part.n_entries) == 0
+            if not (empty or fields <= part.probe_fields()):
+                return False
+        return True
+
+    # -- writes --------------------------------------------------------------
+
     def ingest(self, sink: BufferSink) -> None:
+        if self._payload:
+            for batch in sink.payload_batches:
+                keys = C.pack_coords(batch.outcells, self.out_shape)
+                if isinstance(batch.payloads, np.ndarray):
+                    buf = batch.payloads.tobytes()
+                    lengths = np.full(keys.size, batch.payloads.shape[1], dtype=np.int64)
+                else:
+                    buf = b"".join(batch.payloads)
+                    lengths = np.asarray([len(p) for p in batch.payloads], dtype=np.int64)
+                self._put_singletons([keys], buf, lengths)
+            for rb in sink.region_batches:
+                if rb.is_payload:
+                    keys = C.pack_coords(rb.out_coords, self.out_shape)
+                    self._put_pairs(
+                        [(keys, rb.out_offsets)], rb.payloads, np.diff(rb.payload_offsets)
+                    )
+            return
         for batch in sink.elementwise:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            for i, cells in enumerate(batch.incells):
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
-                self._direct[i].put_many_fixed(in_packed, out_packed)
+            out = C.pack_coords(batch.outcells, self.out_shape)
+            ins = [C.pack_coords(c, s) for c, s in zip(batch.incells, self.in_shapes)]
+            if self._one:
+                for i, name in enumerate(self._direct):
+                    key, value = (out, ins[i]) if self._by_out else (ins[i], out)
+                    self._parts[name].put_many_fixed(key, value)
+            else:
+                values = ins if self._by_out else [out]
+                rows = np.concatenate(
+                    [encode_singleton_int_arrays(v) for v in values], axis=1
+                )
+                lengths = np.full(out.size, rows.shape[1], dtype=np.int64)
+                self._put_singletons(
+                    [out] if self._by_out else ins, rows.tobytes(), lengths
+                )
         for rb in sink.region_batches:
             if rb.is_payload:
                 continue
-            vbuf, vlens = _encode_sorted_segmented(
-                C.pack_coords(rb.out_coords, self.out_shape), rb.out_offsets
+            out = C.pack_coords(rb.out_coords, self.out_shape)
+            ins = [C.pack_coords(c, s) for c, s in zip(rb.in_coords, self.in_shapes)]
+            if self._by_out:
+                keyed = [(out, rb.out_offsets)]
+                vbuf, vlens = encode_full_values(ins, rb.in_offsets)
+            else:
+                keyed = list(zip(ins, rb.in_offsets))
+                vbuf, vlens = encode_full_values([out], [rb.out_offsets])
+            self._put_pairs(keyed, vbuf, vlens)
+
+    def _put_singletons(self, keys: list[np.ndarray], buf: bytes, lengths) -> None:
+        """Store ``n`` single-key-cell pairs per surface: pair ``p`` keys
+        ``keys[s][p]`` and owns ``lengths[p]`` consecutive bytes of ``buf``
+        (``Many`` and ``PayOne``; ``FullOne`` writes fixed-width ``direct``
+        pairs instead)."""
+        if self._tables:
+            for name, k in zip(self._tables, keys):
+                self._parts[name].add_singleton_entries(k, buf, lengths)
+            return
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        self._parts["pay"].put_many(keys[0], buf, offsets)
+
+    def _put_pairs(self, keyed, buf: bytes, lengths: np.ndarray) -> None:
+        """Store ``n`` region pairs: ``keyed[s] = (packed keys, offsets)``
+        segments each pair's key cells on surface ``s``, and pair ``p``'s
+        value is ``lengths[p]`` consecutive bytes of ``buf``."""
+        parts = self._parts
+        if self._heap:
+            ids = parts[self._heap].append_buffer(buf, lengths)
+            for name, (keys, offsets) in zip(self._refs, keyed):
+                parts[name].put_many_fixed(keys, np.repeat(ids, np.diff(offsets)))
+            return
+        starts = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        starts = starts[:-1]
+        if not self._tables:
+            # PayOne: duplicate each pair's payload once per key cell
+            keys, offsets = keyed[0]
+            counts = np.diff(offsets)
+            rep_lens = np.repeat(lengths, counts)
+            dup = _gather_slices(
+                buf, np.repeat(starts, counts), rep_lens, int(rep_lens.sum())
             )
-            ids = self._blobs.append_buffer(vbuf, vlens)
-            for i, cells in enumerate(rb.in_coords):
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
-                self._refs[i].put_many_fixed(
-                    in_packed, np.repeat(ids, np.diff(rb.in_offsets[i]))
+            offsets = np.zeros(keys.size + 1, dtype=np.int64)
+            np.cumsum(rep_lens, out=offsets[1:])
+            parts["pay"].put_many(keys, dup, offsets)
+            return
+        for name, (keys, offsets) in zip(self._tables, keyed):
+            counts = np.diff(offsets)
+            keep = counts > 0
+            if keep.all():
+                parts[name].add_entries(keys, counts, buf, lengths)
+            elif keep.any():
+                # a pair with no key cells on this surface stores no entry
+                kept = lengths[keep]
+                parts[name].add_entries(
+                    keys,
+                    counts[keep],
+                    _gather_slices(buf, starts[keep], kept, int(kept.sum())),
+                    kept,
                 )
 
     def absorb(self, other: "OpLineageStore") -> None:
+        """Merge every entry of ``other`` (same layout and shapes) into this
+        store — the compaction merge writer.
+
+        Works at the component level: hash stores and entry tables
+        concatenate (the multimap/entry-set contracts make union exactly
+        concatenation), and the blob heap appends with the id base returned
+        by :meth:`~repro.storage.kvstore.BlobStore.extend_from` re-basing
+        the refs that point into it.  All absorbed bytes are copied, so the
+        merged store stays valid after the generations' segments close."""
         self._check_absorb(other)
-        base = self._blobs.extend_from(other._blobs)
-        for i in range(self.arity):
-            self._direct[i].extend_from(other._direct[i])
-            keys, refs = other._refs[i].items_fixed()
-            if keys.size:
-                self._refs[i].put_many_fixed(keys, refs + base)
+        mine, theirs = self._parts, other._parts
+        base = mine[self._heap].extend_from(theirs[self._heap]) if self._heap else 0
+        for name, part in mine.items():
+            if name in self._refs:
+                keys, refs = theirs[name].items_fixed()
+                if keys.size:
+                    part.put_many_fixed(keys, refs + base)
+            elif name in self._tables:
+                part.extend_columns(*theirs[name].columns())
+            elif name != self._heap:
+                part.extend_from(theirs[name])
+
+    # -- matched-orientation reads -------------------------------------------
+
+    def backward_full(self, qpacked, only_input=None):
+        if self._payload or not self._by_out:
+            raise LineageError(f"{self.strategy.label} cannot serve backward_full")
+        matched, per_input = self._matched(qpacked, 0, only_input)
+        return matched, [_concat(parts) for parts in per_input]
 
     def forward_full(self, qpacked, input_idx):
-        parts: list[np.ndarray] = []
-        qidx, cells = self._direct[input_idx].lookup_refs(qpacked)
+        if self._by_out:
+            raise LineageError(f"{self.strategy.label} cannot serve forward_full")
+        return _concat(self._matched(qpacked, input_idx, None)[1][0])
+
+    def _matched(self, qpacked, surface: int, only: int | None):
+        """``(matched, per-field cell parts)`` of the key cells ``qpacked``
+        on ``surface``; ``only`` decodes that one field."""
+        per_field: list[list[np.ndarray]] = [[] for _ in range(self._n_fields)]
+        parts = self._parts
+        if not self._one:
+            table = parts[self._tables[surface]]
+            coords = C.unpack_coords(qpacked, self._surfaces[surface][1])
+            candidates = table.candidate_entries(coords)
+            hit, hit_cells = table.match_keys(candidates, np.sort(qpacked))
+            fields = range(self._n_fields) if only is None else (only,)
+            for entry_id in candidates[hit]:
+                for f in fields:
+                    per_field[f].append(table.value_cells(int(entry_id), field=f))
+            return np.isin(qpacked, hit_cells), per_field
+        matched = np.zeros(qpacked.size, dtype=bool)
+        for f, name in enumerate(self._direct_on[surface]):
+            qidx, cells = parts[name].lookup_refs(qpacked)
+            if qidx.size:
+                matched[qidx] = True
+                if only is None or f == only:
+                    per_field[f].append(cells)
+        qidx, refs = parts[self._refs[surface]].lookup_refs(qpacked)
         if qidx.size:
-            parts.append(cells)
-        qidx, refs = self._refs[input_idx].lookup_refs(qpacked)
-        for ref in np.unique(refs):
-            arr, _ = codecs.decode_cells(self._blobs.get(int(ref)))
-            parts.append(arr)
-        return _concat(parts)
+            matched[qidx] = True
+            heap = parts[self._heap]
+            for ref in np.unique(refs):
+                blob = heap.get(int(ref))
+                if only is None:
+                    for f, cells in enumerate(decode_full_value(blob, self._n_fields)):
+                        per_field[f].append(cells)
+                else:
+                    per_field[only].append(_decode_value_field(blob, only))
+        return matched, per_field
 
-    def warm_lowered_tables(self) -> None:
-        self._blobs.batch_probe().lowered_tables()
+    def backward_payload_rows(self, qpacked):
+        if not self._payload:
+            raise LineageError(
+                f"{self.strategy.label} cannot serve backward_payload_rows"
+            )
+        if self._one:
+            matched = np.zeros(qpacked.size, dtype=bool)
+            qidx, values = self._parts["pay"].lookup_many(qpacked)
+            if qidx.size:
+                matched[qidx] = True
+            return matched, qpacked[qidx], values
+        table = self._parts["paytable"]
+        query_sorted = np.sort(qpacked)
+        coords = C.unpack_coords(qpacked, self.out_shape)
+        hits: list[np.ndarray] = []
+        payloads: list[bytes] = []
+        for entry_id in table.candidate_entries(coords):
+            keys = table.entry_keys(int(entry_id))
+            hit = keys[C.isin_sorted(keys, query_sorted)]
+            if hit.size:
+                hits.append(hit)
+                payloads += [table.entry_value(int(entry_id))] * hit.size
+        hit_packed = _concat(hits)
+        return np.isin(qpacked, hit_packed), hit_packed, payloads
 
-    def lowered_ready(self) -> bool:
-        return len(self._blobs) == 0 or 0 in self._blobs.probe_fields()
+    # -- mismatched-orientation reads -----------------------------------------
+
+    def scan_forward_full(self, qpacked, input_idx, ticker=None):
+        if self._payload or not self._by_out:
+            raise LineageError(f"{self.strategy.label} cannot serve scan_forward_full")
+        query = np.sort(qpacked)
+        parts = self._parts
+        if not self._one:
+            table = parts[self._tables[0]]
+            verdicts = table.batch_probe(
+                field=input_idx, ticker=ticker
+            ).contains_any(query, ticker)
+            return np.unique(table.entries_keys(np.flatnonzero(verdicts)))
+        found: list[np.ndarray] = []
+        out_keys, in_cells = parts[self._direct[input_idx]].items_fixed()
+        if out_keys.size:
+            found.append(out_keys[C.isin_sorted(in_cells, query)])
+        if ticker is not None:
+            ticker()
+        ref_keys, refs = parts[self._refs[0]].items_fixed()
+        if ref_keys.size:
+            # one vectorised pass over the blob heap; refs are blob ids, so
+            # the per-blob verdicts index straight into the ref rows
+            verdicts = parts[self._heap].batch_probe(
+                field=input_idx, ticker=ticker
+            ).contains_any(query, ticker)
+            found.append(ref_keys[verdicts[refs]])
+        return np.unique(_concat(found))
 
     def scan_backward_full(self, qpacked, ticker=None):
+        if self._by_out:
+            raise LineageError(f"{self.strategy.label} cannot serve scan_backward_full")
         query = np.sort(qpacked)
+        parts = self._parts
         matched_cells: list[np.ndarray] = []
         per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
+        if not self._one:
+            for i, name in enumerate(self._tables):
+                hit_ids, intersections = parts[name].batch_probe().intersect(query, ticker)
+                if hit_ids.size:
+                    matched_cells.extend(intersections)
+                    per_input[i].append(parts[name].entries_keys(hit_ids))
+            return np.isin(qpacked, _concat(matched_cells)), [
+                _concat(p) for p in per_input
+            ]
         # one vectorised intersect pass over the shared blob heap, reused by
         # every input's ref store (hit_ids ascending, blobs keyed by id)
-        hit_ids, intersections = self._blobs.batch_probe().intersect(query, ticker)
+        hit_ids, intersections = parts[self._heap].batch_probe().intersect(query, ticker)
         inter_by_blob = dict(zip(hit_ids.tolist(), intersections))
         for i in range(self.arity):
-            in_keys, out_cells = self._direct[i].items_fixed()
+            in_keys, out_cells = parts[self._direct[i]].items_fixed()
             if in_keys.size:
                 member = C.isin_sorted(out_cells, query)
                 if member.any():
                     matched_cells.append(out_cells[member])
                     per_input[i].append(in_keys[member])
-            in_keys, refs = self._refs[i].items_fixed()
+            in_keys, refs = parts[self._refs[i]].items_fixed()
             if in_keys.size and hit_ids.size:
                 member = C.isin_sorted(refs, hit_ids)
                 if member.any():
@@ -1205,278 +1243,32 @@ class _FullForwardOne(OpLineageStore):
                     )
             if ticker is not None:
                 ticker()
-        matched = np.isin(qpacked, _concat(matched_cells))
-        return matched, [_concat(parts) for parts in per_input]
-
-    def disk_bytes(self) -> int:
-        total = self._blobs.disk_bytes()
-        total += sum(s.disk_bytes() for s in self._direct)
-        total += sum(s.disk_bytes() for s in self._refs)
-        return total
-
-    @property
-    def n_entries(self) -> int:
-        return sum(s.n_entries for s in self._direct) + sum(
-            s.n_entries for s in self._refs
-        )
-
-
-class _FullForwardMany(OpLineageStore):
-    """``->FullMany``: per input array, one R-tree-indexed entry per pair."""
-
-    def __init__(self, node, strategy, out_shape, in_shapes):
-        super().__init__(node, strategy, out_shape, in_shapes)
-        self._tables = [RegionEntryTable(shape) for shape in self.in_shapes]
-
-    def _entry_tables(self):
-        return list(self._tables)
-
-    def _components(self):
-        return {f"table{i}": t for i, t in enumerate(self._tables)}
-
-    def _set_component(self, name, obj):
-        self._tables[int(name[5:])] = obj
-
-    def _filter_key_arrays(self):
-        return {
-            f"f{i}": (table.all_key_cells(), self.in_shapes[i])
-            for i, table in enumerate(self._tables)
-        }
-
-    def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.elementwise:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            rows = encode_singleton_int_arrays(out_packed)
-            lengths = np.full(out_packed.size, rows.shape[1], dtype=np.int64)
-            for i, cells in enumerate(batch.incells):
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
-                self._tables[i].add_singleton_entries(
-                    in_packed, rows.tobytes(), lengths
-                )
-        for rb in sink.region_batches:
-            if rb.is_payload:
-                continue
-            vbuf, vlens = _encode_sorted_segmented(
-                C.pack_coords(rb.out_coords, self.out_shape), rb.out_offsets
-            )
-            vstarts = np.zeros(vlens.size + 1, dtype=np.int64)
-            np.cumsum(vlens, out=vstarts[1:])
-            for i, cells in enumerate(rb.in_coords):
-                in_counts = np.diff(rb.in_offsets[i])
-                keep = in_counts > 0
-                if not keep.any():
-                    # pairs with no cells in this input store no forward keys
-                    continue
-                in_packed = C.pack_coords(cells, self.in_shapes[i])
-                if keep.all():
-                    buf_i, lens_i = vbuf, vlens
-                else:
-                    lens_i = vlens[keep]
-                    buf_i = _gather_slices(
-                        vbuf, vstarts[:-1][keep], lens_i, int(lens_i.sum())
-                    )
-                    in_counts = in_counts[keep]
-                self._tables[i].add_entries(in_packed, in_counts, buf_i, lens_i)
-
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        for i, table in enumerate(self._tables):
-            table.extend_columns(*other._tables[i].columns())
-
-    def forward_full(self, qpacked, input_idx):
-        table = self._tables[input_idx]
-        coords = C.unpack_coords(qpacked, self.in_shapes[input_idx])
-        query_sorted = np.sort(qpacked)
-        parts: list[np.ndarray] = []
-        for entry_id in table.candidate_entries(coords):
-            keys = table.entry_keys(int(entry_id))
-            if C.isin_sorted(keys, query_sorted).any():
-                arr, _ = codecs.decode_cells(table.entry_value(int(entry_id)))
-                parts.append(arr)
-        return _concat(parts)
-
-    def warm_lowered_tables(self) -> None:
-        for table in self._tables:
-            table.batch_probe().lowered_tables()
-
-    def lowered_ready(self) -> bool:
-        return all(
-            table.n_entries == 0 or 0 in table.probe_fields()
-            for table in self._tables
-        )
-
-    def scan_backward_full(self, qpacked, ticker=None):
-        query = np.sort(qpacked)
-        matched_cells: list[np.ndarray] = []
-        per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
-        for i, table in enumerate(self._tables):
-            hit_ids, intersections = table.batch_probe().intersect(query, ticker)
-            if hit_ids.size:
-                matched_cells.extend(intersections)
-                per_input[i].append(table.entries_keys(hit_ids))
-        matched = np.isin(qpacked, _concat(matched_cells))
-        return matched, [_concat(parts) for parts in per_input]
-
-    def disk_bytes(self) -> int:
-        return sum(t.disk_bytes() for t in self._tables)
-
-    @property
-    def n_entries(self) -> int:
-        return sum(t.n_entries for t in self._tables)
-
-
-class _PayBackwardOne(OpLineageStore):
-    """``<-PayOne``: hash key = output cell, value = duplicated payload.
-
-    Serves both ``Pay`` and ``Comp`` strategies (composite lineage stores
-    its payload overrides the same way, §V-A.4).
-    """
-
-    def __init__(self, node, strategy, out_shape, in_shapes):
-        super().__init__(node, strategy, out_shape, in_shapes)
-        self._hash = HashStore(f"{node}.pay")
-
-    def _hash_stores(self):
-        return [self._hash]
-
-    def _components(self):
-        return {"pay": self._hash}
-
-    def _set_component(self, name, obj):
-        self._hash = obj
-
-    def _filter_key_arrays(self):
-        return {"b": (self._hash.keys_array(), self.out_shape)}
-
-    def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.payload_batches:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            if isinstance(batch.payloads, np.ndarray):
-                width = batch.payloads.shape[1]
-                offsets = np.arange(out_packed.size + 1, dtype=np.int64) * width
-                self._hash.put_many(out_packed, batch.payloads.tobytes(), offsets)
-            else:
-                buf = b"".join(batch.payloads)
-                lengths = np.asarray([len(p) for p in batch.payloads], dtype=np.int64)
-                offsets = np.zeros(out_packed.size + 1, dtype=np.int64)
-                np.cumsum(lengths, out=offsets[1:])
-                self._hash.put_many(out_packed, buf, offsets)
-        for rb in sink.region_batches:
-            if not rb.is_payload:
-                continue
-            out_packed = C.pack_coords(rb.out_coords, self.out_shape)
-            out_counts = np.diff(rb.out_offsets)
-            # duplicate each pair's payload once per output cell (PayOne)
-            rep_lens = np.repeat(np.diff(rb.payload_offsets), out_counts)
-            buf = _gather_slices(
-                rb.payloads,
-                np.repeat(rb.payload_offsets[:-1], out_counts),
-                rep_lens,
-                int(rep_lens.sum()),
-            )
-            offsets = np.zeros(out_packed.size + 1, dtype=np.int64)
-            np.cumsum(rep_lens, out=offsets[1:])
-            self._hash.put_many(out_packed, buf, offsets)
-
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        self._hash.extend_from(other._hash)
-
-    def backward_payload_rows(self, qpacked):
-        matched = np.zeros(qpacked.size, dtype=bool)
-        qidx, values = self._hash.lookup_many(qpacked)
-        if qidx.size:
-            matched[qidx] = True
-        return matched, qpacked[qidx], values
+        return np.isin(qpacked, _concat(matched_cells)), [_concat(p) for p in per_input]
 
     def payload_entries(self):
-        keys, voff, vbuf = self._hash.columns()
+        if not self._payload:
+            raise LineageError(f"{self.strategy.label} stores no payload entries")
+        if not self._one:
+            return self._parts["paytable"].columns()
+        keys, voff, vbuf = self._parts["pay"].columns()
         koff = np.arange(keys.size + 1, dtype=np.int64)  # one key cell per entry
         return keys, koff, vbuf, voff
 
     def overridden_keys(self) -> np.ndarray:
-        return np.unique(self._hash.keys_array())
+        if not self._payload:
+            raise LineageError(f"{self.strategy.label} stores no payload entries")
+        return np.unique(self._surface_keys(0))
+
+    # -- accounting -----------------------------------------------------------
 
     def disk_bytes(self) -> int:
-        return self._hash.disk_bytes()
+        return sum(part.disk_bytes() for part in self._parts.values())
 
     @property
     def n_entries(self) -> int:
-        return self._hash.n_entries
-
-
-class _PayBackwardMany(OpLineageStore):
-    """``<-PayMany``: one entry per payload pair, R-tree indexed."""
-
-    def __init__(self, node, strategy, out_shape, in_shapes):
-        super().__init__(node, strategy, out_shape, in_shapes)
-        self._table = RegionEntryTable(out_shape)
-
-    def _entry_tables(self):
-        return [self._table]
-
-    def _components(self):
-        return {"paytable": self._table}
-
-    def _set_component(self, name, obj):
-        self._table = obj
-
-    def _filter_key_arrays(self):
-        return {"b": (self._table.all_key_cells(), self.out_shape)}
-
-    def ingest(self, sink: BufferSink) -> None:
-        for batch in sink.payload_batches:
-            out_packed = C.pack_coords(batch.outcells, self.out_shape)
-            if isinstance(batch.payloads, np.ndarray):
-                width = batch.payloads.shape[1]
-                lengths = np.full(out_packed.size, width, dtype=np.int64)
-                self._table.add_singleton_entries(
-                    out_packed, batch.payloads.tobytes(), lengths
-                )
-            else:
-                buf = b"".join(batch.payloads)
-                lengths = np.asarray([len(p) for p in batch.payloads], dtype=np.int64)
-                self._table.add_singleton_entries(out_packed, buf, lengths)
-        for rb in sink.region_batches:
-            if not rb.is_payload:
-                continue
-            self._table.add_entries(
-                C.pack_coords(rb.out_coords, self.out_shape),
-                np.diff(rb.out_offsets),
-                rb.payloads,
-                np.diff(rb.payload_offsets),
-            )
-
-    def absorb(self, other: "OpLineageStore") -> None:
-        self._check_absorb(other)
-        self._table.extend_columns(*other._table.columns())
-
-    def backward_payload_rows(self, qpacked):
-        query_sorted = np.sort(qpacked)
-        coords = C.unpack_coords(qpacked, self.out_shape)
-        hits: list[np.ndarray] = []
-        payloads: list[bytes] = []
-        for entry_id in self._table.candidate_entries(coords):
-            keys = self._table.entry_keys(int(entry_id))
-            hit = keys[C.isin_sorted(keys, query_sorted)]
-            if hit.size:
-                hits.append(hit)
-                payloads += [self._table.entry_value(int(entry_id))] * hit.size
-        hit_packed = _concat(hits)
-        return np.isin(qpacked, hit_packed), hit_packed, payloads
-
-    def payload_entries(self):
-        return self._table.columns()
-
-    def overridden_keys(self) -> np.ndarray:
-        return np.unique(self._table.all_key_cells())
-
-    def disk_bytes(self) -> int:
-        return self._table.disk_bytes()
-
-    @property
-    def n_entries(self) -> int:
-        return self._table.n_entries
+        return sum(
+            part.n_entries for name, part in self._parts.items() if name != self._heap
+        )
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
@@ -1500,26 +1292,5 @@ def make_store(
     out_shape: tuple[int, ...],
     in_shapes: tuple[tuple[int, ...], ...],
 ) -> OpLineageStore:
-    """Factory mapping a storage strategy to its layout implementation."""
-    if not strategy.stores_pairs:
-        raise LineageError(f"{strategy.label} does not materialise lineage")
-    if strategy.mode in (LineageMode.PAY, LineageMode.COMP):
-        cls = (
-            _PayBackwardOne
-            if strategy.encoding is EncodingKind.ONE
-            else _PayBackwardMany
-        )
-        return cls(node, strategy, out_shape, in_shapes)
-    if strategy.orientation is Orientation.BACKWARD:
-        cls = (
-            _FullBackwardOne
-            if strategy.encoding is EncodingKind.ONE
-            else _FullBackwardMany
-        )
-    else:
-        cls = (
-            _FullForwardOne
-            if strategy.encoding is EncodingKind.ONE
-            else _FullForwardMany
-        )
-    return cls(node, strategy, out_shape, in_shapes)
+    """The store for ``strategy``: one :class:`LayoutStore`."""
+    return LayoutStore(node, strategy, out_shape, in_shapes)

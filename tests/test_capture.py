@@ -124,10 +124,14 @@ class TestCrashDuringBackgroundEncode:
         safe afterwards."""
         image = SciArray.from_numpy(rng.random(SHAPE))
 
-        def boom(self, sink):
-            raise StorageError("simulated encode crash")
+        ingest = lineage_store.LayoutStore.ingest
 
-        monkeypatch.setattr(lineage_store._FullBackwardMany, "ingest", boom)
+        def boom(self, sink):
+            if self.strategy == FULL_MANY_B:
+                raise StorageError("simulated encode crash")
+            ingest(self, sink)
+
+        monkeypatch.setattr(lineage_store.LayoutStore, "ingest", boom)
         sz = SubZero(build_spot_spec(), enable_query_opt=False, capture="deferred")
         sz.set_strategy("spot", FULL_MANY_B)
         with pytest.raises(StorageError, match="simulated encode crash"):
