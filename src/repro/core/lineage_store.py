@@ -77,6 +77,7 @@ from repro.storage.kvstore import BlobStore, HashStore, _gather_slices
 from repro.storage.rtree import RTree
 
 __all__ = [
+    "LayoutStore",
     "OpLineageStore",
     "RegionEntryTable",
     "encode_full_values",
