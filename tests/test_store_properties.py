@@ -183,17 +183,18 @@ class TestMultiInputStores:
 # -- store-level oracle: every pair-storing strategy, every record form -------
 #
 # The cases above cover the four Full layouts over per-pair and elementwise
-# records at arity 1.  The oracle below holds every strategy that stores
-# pairs to the brute-force join over the pairs its records stand for, at
-# arity 1 and 2, over all three record forms (per-pair ``add_pair``,
-# ``ElementwiseBatch``, ``RegionBatch`` with pairs that have no cells in an
-# input) and all three payload forms (an ``(n, w)`` matrix, a list, a
-# payload ``RegionBatch``).  Each case checks every read verb the layout
-# serves, that the others refuse, and that ``absorb``, a segment round trip
-# and ``close()`` keep the contract.
+# records at arity 1 (``<-FullOne`` also at arity 2).  The oracle below
+# holds every strategy that stores pairs to the brute-force join over the
+# pairs its records stand for, at arity 1 and 2, over all three record
+# forms (per-pair ``add_pair``, ``ElementwiseBatch``, ``RegionBatch`` with
+# pairs that have no cells in an input) and every payload form (an
+# ``(n, w)`` matrix, a list, a ``RegionBatch``, ``add_pair``).  Each case checks
+# every read verb the layout serves, that the others refuse, and that
+# ``absorb``, a segment round trip and ``close()`` keep the contract.
 
-OUT = (9, 11)
-INS = ((8, 6), (5, 7))
+# small key spaces, so random records and queries overlap often
+OUT = (5, 6)
+INS = ((4, 6), (3, 5))
 PAIR_STRATEGIES = [
     FULL_ONE_B,
     FULL_MANY_B,
@@ -454,14 +455,14 @@ def _store(strategy, arity, sink=None):
 @pytest.mark.parametrize("strategy", PAIR_STRATEGIES, ids=lambda s: s.label)
 class TestStoreOracle:
     @given(data=st.data(), arity=st.sampled_from([1, 2]))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=8, deadline=None)
     def test_reads_match_brute_force(self, strategy, data, arity):
         sink, full, pay = data.draw(lineages(arity))
         qout, qins = data.draw(queries(arity))
         _check_answers(_store(strategy, arity, sink), strategy, arity, full, pay, qout, qins)
 
     @given(data=st.data(), arity=st.sampled_from([1, 2]))
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=5, deadline=None)
     def test_absorb_answers_like_the_union(self, strategy, data, arity):
         sink_a, full_a, pay_a = data.draw(lineages(arity))
         sink_b, full_b, pay_b = data.draw(lineages(arity))
@@ -473,7 +474,7 @@ class TestStoreOracle:
         )
 
     @given(data=st.data(), arity=st.sampled_from([1, 2]))
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=5, deadline=None)
     def test_segment_round_trip_then_close(self, strategy, data, arity):
         sink, full, pay = data.draw(lineages(arity))
         qout, qins = data.draw(queries(arity))
