@@ -1,19 +1,21 @@
-"""Shared configuration for the figure-reproduction benchmarks.
+"""Scales for ``benchmarks/figures.py``, the figure-reproduction module.
 
-Every ``bench_fig*.py`` module regenerates one figure of the paper's
-evaluation (§VIII) and prints the corresponding series as a table.  Default
-parameters are laptop-sized; set ``REPRO_BENCH_FULL=1`` to run at the
-paper's scale (two 512x2000 images, genomics at 100x, 1000x1000 micro
+Default parameters are laptop-sized; set ``REPRO_BENCH_FULL=1`` to run at
+the paper's scale (two 512x2000 images, genomics at 100x, 1000x1000 micro
 arrays).
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/figures.py -q -s
 """
 
 from __future__ import annotations
 
 import os
+import sys
+
+# figures.py reuses tier-1's workload builders (``tests.*``)
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 FULL = bool(os.environ.get("REPRO_BENCH_FULL"))
 

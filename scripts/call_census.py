@@ -5,9 +5,13 @@ Installs a ``sys.setprofile`` / ``threading.setprofile`` hook *before*
 anything imports ``repro`` (so import-time calls and every daemon,
 capture and maintenance thread count), then runs the tier-1 suite
 in-process with ``pytest.main``.  Every ``def`` under ``src/repro`` is
-listed with ``ast`` (methods and nested functions included, lambdas
-excluded) and named ``path::qualname``; a qualname counts as reached when
-any ``def`` of that name in that file ran.
+listed with ``ast`` *before* the run (methods and nested functions
+included, lambdas excluded) and named ``path::qualname``; a qualname
+counts as reached when any ``def`` of that name in that file ran.  Each
+file's sha256 is taken at the same time and checked after the run: a file
+edited mid-run would shift the line numbers the report matches on, so the
+census refuses (exit 1, naming the file) instead of reporting the shifted
+functions as unreached.
 
 Every unreached function must be listed in the root
 ``census-allowlist.json`` with a reason::
@@ -15,7 +19,8 @@ Every unreached function must be listed in the root
     [{"function": "core/lineage_store.py::OpLineageStore.ingest",
       "reason": "abstract: every layout overrides it"}]
 
-Exit status 1 when the pytest run failed, a function is unreached and
+Exit status 1 when the pytest run failed, a source file changed during
+the run, a function is unreached and
 not allowlisted, an entry has an empty reason, or an entry is stale (its
 function is gone or now reached); 0 otherwise.  Code that runs only in a
 forked child or a subprocess is invisible to the hook, so it belongs in
@@ -30,6 +35,7 @@ tier-1's ``-x -q``)::
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -97,6 +103,20 @@ def list_functions() -> dict[str, dict[str, object]]:
     return found
 
 
+def hash_sources() -> dict[str, str]:
+    """sha256 of every file under ``src/repro``, keyed like the report."""
+    return {
+        path.relative_to(SRC).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+def changed_sources(before: dict[str, str]) -> list[str]:
+    """Files added, removed or edited since ``before`` was taken."""
+    after = hash_sources()
+    return sorted(rel for rel in before.keys() | after.keys() if before.get(rel) != after.get(rel))
+
+
 def load_allowlist() -> tuple[dict[str, str], list[str]]:
     """``function -> reason`` plus the problems found in the file itself."""
     if not ALLOWLIST.exists():
@@ -121,6 +141,7 @@ def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     import pytest  # imports no repro module
 
+    hashes, functions = hash_sources(), list_functions()
     threading.setprofile(_profile)
     sys.setprofile(_profile)
     try:
@@ -128,8 +149,21 @@ def main(argv: list[str]) -> int:
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
+    return report(functions, hashes, int(status))
 
-    functions = list_functions()
+
+def report(functions: dict[str, dict[str, object]], hashes: dict[str, str], status: int) -> int:
+    """Print the unreached table for the defs listed before the run;
+    refuse when a source file changed since then."""
+    changed = changed_sources(hashes)
+    if changed:
+        for rel in changed:
+            print(
+                f"census: src/repro/{rel} changed during the run; its functions "
+                "cannot be matched to the code that ran — re-run the census",
+                file=sys.stderr,
+            )
+        return 1
     unreached = {
         key: fact
         for key, fact in functions.items()
@@ -137,7 +171,7 @@ def main(argv: list[str]) -> int:
     }
     allowed, problems = load_allowlist()
     if status != 0:
-        problems.insert(0, f"the pytest run failed (exit status {int(status)})")
+        problems.insert(0, f"the pytest run failed (exit status {status})")
     for key in sorted(allowed):
         if key not in functions:
             problems.append(f"stale allowlist entry {key!r}: no such function")

@@ -1,8 +1,8 @@
 """Experiment drivers that regenerate every figure of the evaluation (§VIII).
 
 Each ``run_*`` function executes one paper experiment and returns structured
-results; the ``benchmarks/bench_fig*.py`` files wrap them for
-pytest-benchmark and print the paper-shaped tables.  Scales default to
+results; ``benchmarks/figures.py`` asserts the paper's shapes on them and
+prints the paper-shaped tables.  Scales default to
 laptop-friendly sizes; pass the paper's full parameters (astronomy
 512x2000, genomics scale 100, micro 1000x1000) to reproduce at scale.
 """

@@ -1,61 +1,15 @@
 """Result tables for the benchmark harness.
 
-Each figure-reproduction bench assembles a :class:`ResultTable` whose rows
-mirror the series the paper plots and prints it.
-
-:func:`write_bench_json` is the machine-readable sibling: benches publish a
-flat ``metric -> value`` mapping to ``BENCH_<name>.json`` so CI can diff
-perf trajectory against committed baselines
-(``benchmarks/check_regressions.py``) instead of a human reading tables.
+Each figure reproduced by ``benchmarks/figures.py`` assembles a
+:class:`ResultTable` whose rows mirror the series the paper plots and
+prints it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
-__all__ = ["ResultTable", "write_bench_json"]
-
-
-def write_bench_json(name: str, metrics: dict, directory: str | None = None) -> str:
-    """Merge ``metrics`` into ``BENCH_<name>.json`` and return its path.
-
-    The file is a flat ``{"bench": name, "metrics": {metric: number}}``
-    object.  Multiple tests of one bench module call this with their own
-    metrics; existing keys are updated, others preserved, and the write is
-    atomic (tmp + rename) so a crashed bench never leaves a torn file.
-    ``directory`` defaults to ``$BENCH_JSON_DIR`` or the working directory
-    (where CI uploads ``BENCH_*.json`` as artifacts).
-    """
-    directory = directory or os.environ.get("BENCH_JSON_DIR", ".")
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"BENCH_{name}.json")
-    merged: dict = {}
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                merged = json.load(fh).get("metrics", {})
-        except (OSError, ValueError):
-            merged = {}
-    for key, value in metrics.items():
-        merged[str(key)] = float(value)
-    payload = {"bench": name, "metrics": dict(sorted(merged.items()))}
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        # a failed report write must not litter the bench directory with a
-        # half-written tmp the next merge would mistake for a report
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+__all__ = ["ResultTable"]
 
 
 @dataclass

@@ -517,15 +517,6 @@ class RegionEntryTable:
             return np.empty(0, dtype=np.int64)
         return self._keys
 
-    def entry_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-entry inclusive bounding boxes ``(lo, hi)`` of the key cells
-        (used by the §V-B bounding-box-predicate ablation)."""
-        self.finalize()
-        if self._lo is None:
-            empty = np.empty((0, len(self.key_shape)), dtype=np.int64)
-            return empty, empty
-        return self._lo, self._hi
-
     # -- persistence ---------------------------------------------------------------
 
     def dump(self, writer: seglib.SegmentWriter, prefix: str = "") -> None:

@@ -59,7 +59,7 @@ class DaemonClient:
         self.connect_retries = connect_retries
         self.connect_delay = connect_delay
         #: False opens a fresh connection per call (the pre-pooling
-        #: behaviour; bench_serving measures the difference)
+        #: behaviour; tests/test_daemon.py counts the difference)
         self.keep_alive = keep_alive
         self._local = threading.local()
         #: every pooled connection across threads, so close() can drop the
@@ -77,10 +77,6 @@ class DaemonClient:
         if status == 200:
             return obj
         self._raise_for(status, obj)
-
-    def query_canonical(self, request: QueryRequest) -> dict:
-        """:meth:`query` reduced to its deterministic projection."""
-        return protocol.canonical_result(self.query(request))
 
     def health(self) -> dict:
         status, obj = self._call("GET", "/v1/health")

@@ -92,11 +92,6 @@ class MaintenanceWorker:
         self._thread.start()
         return self
 
-    def wake(self) -> None:
-        """Nudge the worker out of its idle backoff (e.g. after a flush
-        appended fresh generations)."""
-        self._wake.set()
-
     @property
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()

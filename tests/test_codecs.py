@@ -5,7 +5,8 @@ selection (including the legacy-stable singleton/empty layouts), the
 decode-free probes (``contains_any`` / ``intersect`` / ``decoded_bounds`` /
 ``skip_cells``) against decode-based references, old-format compatibility
 with byte strings captured from the pre-codec encoder, and adversarial
-inputs (duplicates, negatives, full-int64 spans, truncation).
+inputs (duplicates, negatives, full-int64 spans, truncation), and the
+codec footprint on the evaluation workloads' lineage.
 """
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arrays import coords as C
 from repro.errors import StorageError
+from repro.ops.convolution import dilate_coords
 from repro.storage import codecs
 from repro.storage.codecs import BITMAP, DELTA, INTERVAL, RAW
 
@@ -386,3 +389,69 @@ class TestErrors:
         buf[1] = 200  # inflate the cell count past what the runs cover
         with pytest.raises(StorageError):
             codecs.decode_cells(bytes(buf))
+
+
+# -- footprint on the evaluation workloads -------------------------------------
+
+
+def codec_workloads(astro_shape=(128, 500), genomics_scale=25) -> dict:
+    """Lineage value sets of the two evaluation workloads: per-cell 9x9
+    convolution neighbourhoods and 200-cell reshape blocks on the astronomy
+    shape (contiguous), and the genomics ``train_model`` fanin — one of 56
+    feature columns across every patient (stride 56, never contiguous)."""
+    rng = np.random.default_rng(7)
+    r = np.arange(-4, 5)
+    offsets = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
+    centres = zip(rng.integers(0, astro_shape[0], 1500), rng.integers(0, astro_shape[1], 1500))
+    size = int(np.prod(astro_shape))
+    return {
+        "astro-conv": [
+            np.sort(C.pack_coords(dilate_coords(np.asarray([c]), offsets, astro_shape), astro_shape))
+            for c in centres
+        ],
+        "astro-reshape": [
+            np.arange(s, s + 200, dtype=np.int64) for s in rng.integers(0, size - 200, 400)
+        ],
+        "genomics-train": [
+            np.arange(100 * genomics_scale, dtype=np.int64) * 56 + f for f in range(56)
+        ],
+    }
+
+
+def total_bytes(entries, codec=None):
+    """Bytes of ``entries`` forced into ``codec`` (None if any is
+    ineligible), or as the automatic selection encodes them."""
+    if codec is None:
+        return sum(codecs.cells_nbytes(arr) for arr in entries)
+    sizes = [codec.nbytes(arr) for arr in entries]
+    return None if None in sizes else sum(sizes)
+
+
+class TestEvaluationFootprint:
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        return codec_workloads()
+
+    @pytest.mark.parametrize("name", ["astro-conv", "astro-reshape"])
+    def test_interval_halves_delta_on_contiguous_lineage(self, workloads, name):
+        entries = workloads[name]
+        interval = total_bytes(entries, INTERVAL)
+        assert interval is not None
+        assert 2 * interval <= total_bytes(entries, DELTA)
+        assert total_bytes(entries) <= interval
+
+    def test_selection_never_loses_on_strided_lineage(self, workloads):
+        entries = workloads["genomics-train"]
+        assert total_bytes(entries) <= total_bytes(entries, DELTA)
+        assert total_bytes(entries) <= total_bytes(entries, RAW)
+
+    @pytest.mark.parametrize("i, density", enumerate([0.35, 0.5, 0.65]))
+    def test_bitmap_halves_interval_and_delta_on_ragged_masks(self, i, density):
+        # 64 masks of span 512 per density, drawn in density order from one stream
+        masks = np.random.default_rng(5).random((3, 64, 512))[i] < density
+        masks[:, [0, -1]] = True
+        entries = [np.flatnonzero(mask).astype(np.int64) for mask in masks]
+        assert all(codecs.encode_cells(arr)[0] == codecs.TAG_BITMAP for arr in entries)
+        bitmap = total_bytes(entries, BITMAP)
+        assert 2 * bitmap <= total_bytes(entries, INTERVAL)
+        assert 2 * bitmap <= total_bytes(entries, DELTA)

@@ -224,6 +224,35 @@ class TestGenerationalCatalog:
         assert os.path.exists(generation_path(base_path, 2))
         catalog.close()
 
+    def test_append_writes_a_fifth_of_a_full_reflush(self, tmp_path):
+        """Committing a 10% delta run appends its segment and the manifest;
+        re-flushing rewrites every byte of the merged catalog.  On 12k base
+        pairs the append must write at most a fifth of the bytes."""
+        shape, key = (256, 256), ("n", FULL_MANY_B)
+
+        def store(seed, n):
+            rng = np.random.default_rng(seed)
+            sink = BufferSink()
+            outs, ins = rng.integers(0, 256, size=(n, 2)), rng.integers(0, 256, size=(n, 2))
+            sink.add_elementwise(ElementwiseBatch(outcells=outs, incells=(ins,)))
+            built = make_store("n", FULL_MANY_B, shape, (shape,))
+            built.ingest(sink)
+            built.finalize_if_possible()
+            return built
+
+        base, delta = store(0, 12_000), store(1, 1_200)
+        merged = make_store("n", FULL_MANY_B, shape, (shape,))
+        merged.absorb(base)
+        merged.absorb(delta)
+        merged.finalize_if_possible()
+        catalog, full_bytes = StoreCatalog.write(str(tmp_path / "full"), {key: merged})
+        catalog.close()
+        catalog, _ = StoreCatalog.write(str(tmp_path / "inc"), {key: base})
+        catalog.close()
+        catalog, append_bytes = StoreCatalog.append(str(tmp_path / "inc"), {key: delta})
+        catalog.close()
+        assert full_bytes >= 5 * append_bytes, (full_bytes, append_bytes)
+
     def test_append_into_empty_directory_is_a_first_flush(self, tmp_path):
         key = ("n", FULL_ONE_B)
         catalog, nbytes = StoreCatalog.append(
@@ -816,8 +845,14 @@ class TestGenerationFilters:
         """The tentpole number: a matched backward query on a 20-generation
         store touches only the generations that can contain the key — the
         other 19 are rejected by their zone/bloom filters without a read."""
+        self._twenty_generations(tmp_path, FULL_ONE_B)
+
+    def test_twenty_generation_many_layout_probes_two(self, tmp_path):
+        self._twenty_generations(tmp_path, FULL_MANY_B)
+
+    def _twenty_generations(self, tmp_path, strategy):
         shape = (16, 16)
-        key = ("n", FULL_ONE_B)
+        key = ("n", strategy)
 
         def owner(lo, hi):
             # one generation owning exactly the packed keys [lo, hi)
@@ -827,7 +862,7 @@ class TestGenerationFilters:
             sink.add_elementwise(
                 ElementwiseBatch(outcells=outs, incells=(outs.copy(),))
             )
-            store = make_store("n", FULL_ONE_B, shape, (shape,))
+            store = make_store("n", strategy, shape, (shape,))
             store.ingest(sink)
             return store
 
@@ -840,9 +875,9 @@ class TestGenerationFilters:
             catalog.close()
 
         catalog = StoreCatalog.open(str(tmp_path))
-        assert catalog.generation_count("n", FULL_ONE_B) == 20
-        assert catalog.filters_ready("n", FULL_ONE_B)
-        store = catalog.open_store("n", FULL_ONE_B)
+        assert catalog.generation_count("n", strategy) == 20
+        assert catalog.filters_ready("n", strategy)
+        store = catalog.open_store("n", strategy)
         q = np.arange(8 * 19, 8 * 19 + 8, dtype=np.int64)  # newest gen's keys
         matched, _per = store.backward_full(q)
         assert matched.all()

@@ -163,6 +163,7 @@ class TestDaemonEquivalence:
             with QueryDaemon(sz, port=0) as daemon:
                 host, port = daemon.address
                 failures: list[str] = []
+                finished: list[int] = []
 
                 def client_run(cid: int) -> None:
                     client = DaemonClient(host, port, client_id=f"c{cid}")
@@ -172,6 +173,7 @@ class TestDaemonEquivalence:
                         if got != baseline[j]:
                             failures.append(f"client {cid} request {j} diverged")
                             return
+                    finished.append(cid)
 
                 threads = [
                     threading.Thread(target=client_run, args=(cid,), daemon=True)
@@ -184,6 +186,7 @@ class TestDaemonEquivalence:
                     t.join(timeout=max(0.0, deadline - time.monotonic()))
                 assert not any(t.is_alive() for t in threads), "daemon serving hung"
                 assert not failures, failures[0]
+                assert sorted(finished) == list(range(8)), "a client raised"
                 stats = daemon.stats()
                 assert stats["gate"]["admitted"] == 8 * len(requests)
                 assert stats["gate"]["rejected"] == 0
@@ -200,6 +203,24 @@ class TestDaemonEquivalence:
                 assert "cache" in stats
                 status, body = client._call("GET", "/v1/nope")
                 assert status == 404 and "error" in body
+
+    def test_keep_alive_client_reuses_one_connection(self, flushed, monkeypatch):
+        """Pooling as a count: a thread's round-trips share one connection
+        with keep-alive and open one each without it."""
+        opened: list[bool] = []
+        connect = DaemonClient._connect
+        monkeypatch.setattr(
+            DaemonClient, "_connect", lambda self: opened.append(self.keep_alive) or connect(self)
+        )
+        with _resume_engine(flushed) as sz:
+            with QueryDaemon(sz, port=0) as daemon:
+                for keep_alive in (True, False):
+                    with DaemonClient(*daemon.address, keep_alive=keep_alive) as client:
+                        for _ in range(20):
+                            client.health()
+                        client.query(flushed["requests"][0])
+        assert opened.count(True) == 1
+        assert opened.count(False) == 21
 
     def test_client_without_keep_alive_pools_nothing(self, flushed):
         with _resume_engine(flushed) as sz:
@@ -363,6 +384,7 @@ class TestBackpressure:
                 for t in threads:
                     t.join(timeout=max(0.0, deadline - time.monotonic()))
                 assert not any(t.is_alive() for t in threads), "flood hung"
+                assert len(outcomes) == 12, "a flooding client neither served nor shed"
                 assert "ok" in outcomes, "nothing was served under overload"
                 assert "shed" in outcomes, "overload was buffered, not shed"
                 # every client-side QueueFullError is an explicit gate

@@ -170,6 +170,7 @@ class TestScatterRouting:
             owner = part.partition_for_node("beta")
             record = part.borrow("beta", FULL_ONE_B)
             assert record is not None
+            record.store.backward_full(np.arange(64, dtype=np.int64))
             part.release(record)
             probes = part.probes_by_partition()
             assert probes[owner] == 1
@@ -367,10 +368,10 @@ class TestTornPartition:
 
 
 class TestPartitionCompaction:
-    def _with_generations(self, tmp_path, n_appends=2):
+    def _with_generations(self, tmp_path, n_appends=2, name="part"):
         strategy = FULL_ONE_B
         first, query = _fixed_sink()
-        directory = str(tmp_path / "part")
+        directory = str(tmp_path / name)
         part, _ = PartitionedCatalog.write(
             directory, _filled_stores(strategy, first), partitions=2
         )
@@ -395,6 +396,12 @@ class TestPartitionCompaction:
             report = part.compact(parallel=2)
             assert len(report.compacted) == len(NODES)
             assert report.bytes_reclaimed > 0
+            # a twin swept one partition at a time writes the same bytes
+            twin = self._with_generations(tmp_path, name="twin")[0]
+            sequential = twin.compact(parallel=1)
+            twin.close()
+            assert sorted(sequential.compacted) == sorted(report.compacted)
+            assert sequential.bytes_written == report.bytes_written
             for node in NODES:
                 assert part.generation_count(node, strategy) == 1
                 record = part.borrow(node, strategy)

@@ -209,6 +209,7 @@ class TestThreadedServing:
                 assert _coords_set(result) == baseline[i % len(jobs)]
             stats = sz.runtime.serving_stats()
             assert stats["misses"] <= 3  # one open per store, shared by all
+            assert stats["evictions"] == 0  # no budget, no churn
 
 
 # -- pin / evict semantics -----------------------------------------------------
