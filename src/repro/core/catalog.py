@@ -426,8 +426,9 @@ class StoreCatalog:
 
         Per store: a key the catalog already records gains generation
         ``max(gen) + 1`` (skipping ordinals whose files a crash left on
-        disk); an unknown key is written as its generation-0 base segment.
-        Empty stores are skipped — an empty delta would add a probe pass of
+        disk); an unknown key is written as its generation-0 base segment,
+        even when empty, so the catalog records that the key's lineage was
+        stored.  An empty delta is skipped — it would add a probe pass of
         read amplification and no lineage.  A delta's array shapes must
         match the committed generations (a reshape needs a full re-flush).
 
@@ -447,10 +448,10 @@ class StoreCatalog:
         # committed, and the manifest never lags a segment already written
         pending = []
         for (node, strategy), store in stores.items():
-            if store.n_entries == 0:
-                continue
             with self._lock:
                 existing = self._entries.get((node, strategy), ())
+            if existing and store.n_entries == 0:
+                continue
             if existing:
                 base = existing[0]
                 if (
