@@ -121,6 +121,48 @@ def store_filename(node: str, strategy: StorageStrategy) -> str:
     return "__".join(parts) + ".seg"
 
 
+def _write_manifest(path: str, obj: dict, what: str) -> int:
+    """Atomically (tmp file + ``os.replace``) write one JSON manifest;
+    returns its size.  A crash mid-write leaves the previous manifest
+    intact instead of a truncated one that would brick the next open."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+        return os.path.getsize(path)
+    except BaseException as exc:
+        # never leave a half-written tmp behind a crash we can see
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            raise StorageError(f"cannot write {what} {path!r}: {exc}") from exc
+        raise
+
+
+def _read_manifest(path: str, fmt: str, version: int, what: str) -> dict:
+    """Parse one JSON manifest and check its ``format`` tag and that its
+    ``version`` is not newer than ``version``; a missing, unreadable or
+    malformed one raises :class:`StorageError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise StorageError(f"no {what} at {os.path.dirname(path)!r}: {exc}") from exc
+    except ValueError as exc:
+        raise StorageError(f"corrupt {what} {path!r}: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != fmt:
+        raise StorageError(f"{path!r} is not a {what}")
+    if int(manifest.get("version", 0)) > version:
+        raise StorageError(
+            f"{what} {path!r} has version {manifest['version']}, "
+            f"newer than supported version {version}"
+        )
+    return manifest
+
+
 def _strategy_to_json(strategy: StorageStrategy) -> dict:
     return {
         "mode": strategy.mode.value,
@@ -344,13 +386,10 @@ class StoreCatalog:
         return catalog, total
 
     def save_manifest(self) -> int:
-        """(Re)write ``catalog.json`` from the current entries; returns its
-        size.  Recovery calls this after quarantining segments so the
-        on-disk manifest stops advertising stores that no longer serve.
-
-        The write is atomic (tmp file + ``os.replace``): a crash mid-write
-        leaves the previous manifest intact instead of a truncated one that
-        would brick :meth:`open`."""
+        """(Re)write ``catalog.json`` from the current entries, atomically;
+        returns its size.  Recovery calls this after quarantining segments
+        so the on-disk manifest stops advertising stores that no longer
+        serve."""
         with self._lock:
             stores = []
             for generations in self._entries.values():
@@ -375,23 +414,7 @@ class StoreCatalog:
                     stores.append(obj)
         manifest = {"format": FORMAT, "version": VERSION, "stores": stores}
         path = os.path.join(self.directory, MANIFEST_NAME)
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-            os.replace(tmp, path)
-            return os.path.getsize(path)
-        except BaseException as exc:
-            # never leave a half-written tmp behind a crash we can see
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            if isinstance(exc, OSError):
-                raise StorageError(
-                    f"cannot write catalog manifest {path!r}: {exc}"
-                ) from exc
-            raise
+        return _write_manifest(path, manifest, "catalog manifest")
 
     # -- appending (incremental delta generations) -----------------------------
 
@@ -664,25 +687,14 @@ class StoreCatalog:
     ) -> "StoreCatalog":
         """Parse the manifest only; no segment file is touched."""
         path = os.path.join(directory, MANIFEST_NAME)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except OSError as exc:
-            if os.path.exists(os.path.join(directory, "manifest.json")):
-                raise StorageError(
-                    f"{directory!r} holds a manifest.json but no {MANIFEST_NAME}: "
-                    "pre-segment layout, re-flush required"
-                ) from exc
-            raise StorageError(f"no lineage catalog at {directory!r}: {exc}") from exc
-        except ValueError as exc:
-            raise StorageError(f"corrupt lineage catalog {path!r}: {exc}") from exc
-        if manifest.get("format") != FORMAT:
-            raise StorageError(f"{path!r} is not a lineage catalog manifest")
-        if int(manifest.get("version", 0)) > VERSION:
+        if not os.path.exists(path) and os.path.exists(
+            os.path.join(directory, "manifest.json")
+        ):
             raise StorageError(
-                f"lineage catalog {path!r} has version {manifest['version']}, "
-                f"newer than supported version {VERSION}"
+                f"{directory!r} holds a manifest.json but no {MANIFEST_NAME}: "
+                "pre-segment layout, re-flush required"
             )
+        manifest = _read_manifest(path, FORMAT, VERSION, "lineage catalog")
         entries = []
         try:
             for obj in manifest["stores"]:

@@ -284,7 +284,7 @@ class CostModel:
         so the per-generation repeat is priced at the filter-probe rate.
 
         ``fanout`` is how many catalog partitions the access must scatter
-        across (``runtime.partition_fanout``) — 1 for a monolithic catalog
+        across (``runtime.partition_fanout``) — 1 for a plain catalog
         or a node the partition map covers; each extra partition adds one
         child-catalog probe, so the optimizer sees broadcast reads as
         honestly more expensive than targeted ones (and than mapping

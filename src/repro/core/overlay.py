@@ -301,32 +301,11 @@ class OverlayStore(OpLineageStore):
     # store or pre-filter segment) always reads.  Counters accumulate once
     # per call on the shared :class:`FilterStats`.
 
-    def backward_full(self, qpacked, only_input=None):
-        qpacked = np.asarray(qpacked)
-        matched = np.zeros(qpacked.size, dtype=bool)
-        per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
-        probes = skipped = fp = 0
-        for store in reversed(self._sources):
-            decision = store.filter_decision("b", qpacked)
-            if decision is not None:
-                probes += 1
-                if not decision:
-                    skipped += 1
-                    continue
-            m, per = store.backward_full(qpacked, only_input=only_input)
-            if decision and not m.any():
-                fp += 1
-            matched |= m
-            for i, cells in enumerate(per):
-                if cells.size:
-                    per_input[i].append(cells)
-        self._fstats.record(probes, skipped, fp)
-        return matched, [_concat(parts) for parts in per_input]
-
-    def forward_full(self, qpacked, input_idx):
-        qpacked = np.asarray(qpacked)
-        tag = f"f{input_idx}"
-        parts: list[np.ndarray] = []
+    def _unskipped_reads(self, tag, qpacked, read, hit=lambda r: r[0].any()) -> list:
+        """``read(source)`` for every source, newest first, whose filter
+        for surface ``tag`` does not rule ``qpacked`` out; a read that
+        ``hit(result)`` finds empty counts as a filter false positive."""
+        results = []
         probes = skipped = fp = 0
         for store in reversed(self._sources):
             decision = store.filter_decision(tag, qpacked)
@@ -335,34 +314,51 @@ class OverlayStore(OpLineageStore):
                 if not decision:
                     skipped += 1
                     continue
-            cells = store.forward_full(qpacked, input_idx)
-            if decision and cells.size == 0:
+            result = read(store)
+            if decision and not hit(result):
                 fp += 1
-            parts.append(cells)
+            results.append(result)
         self._fstats.record(probes, skipped, fp)
-        return _concat(parts)
+        return results
+
+    def _merge_backward(self, results, n_cells: int):
+        """OR the per-cell verdicts and concatenate the per-input cell sets
+        of several sources' ``(matched, per_input)`` backward answers."""
+        matched = np.zeros(n_cells, dtype=bool)
+        per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
+        for m, per in results:
+            matched |= m
+            for i, cells in enumerate(per):
+                per_input[i].append(cells)
+        return matched, [_concat(parts) for parts in per_input]
+
+    def backward_full(self, qpacked, only_input=None):
+        qpacked = np.asarray(qpacked)
+        reads = self._unskipped_reads(
+            "b", qpacked, lambda store: store.backward_full(qpacked, only_input=only_input)
+        )
+        return self._merge_backward(reads, qpacked.size)
+
+    def forward_full(self, qpacked, input_idx):
+        qpacked = np.asarray(qpacked)
+        reads = self._unskipped_reads(
+            f"f{input_idx}", qpacked, lambda s: s.forward_full(qpacked, input_idx), np.size
+        )
+        return _concat(reads)
 
     def backward_payload_rows(self, qpacked):
         qpacked = np.asarray(qpacked)
         matched = np.zeros(qpacked.size, dtype=bool)
         hit_parts: list[np.ndarray] = []
         payloads: list = []
-        probes = skipped = fp = 0
-        for store in reversed(self._sources):
-            decision = store.filter_decision("b", qpacked)
-            if decision is not None:
-                probes += 1
-                if not decision:
-                    skipped += 1
-                    continue
-            m, hits, values = store.backward_payload_rows(qpacked)
-            if decision and not m.any():
-                fp += 1
+        reads = self._unskipped_reads(
+            "b", qpacked, lambda store: store.backward_payload_rows(qpacked)
+        )
+        for m, hits, values in reads:
             matched |= m
             if hits.size:
                 hit_parts.append(hits)
                 payloads.extend(values)
-        self._fstats.record(probes, skipped, fp)
         return matched, _concat(hit_parts), payloads
 
     # -- mismatched-orientation reads ------------------------------------------
@@ -378,15 +374,11 @@ class OverlayStore(OpLineageStore):
         )
 
     def scan_backward_full(self, qpacked, ticker=None):
-        matched = np.zeros(np.asarray(qpacked).size, dtype=bool)
-        per_input: list[list[np.ndarray]] = [[] for _ in range(self.arity)]
-        for store in reversed(self._sources):
-            m, per = store.scan_backward_full(qpacked, ticker=ticker)
-            matched |= m
-            for i, cells in enumerate(per):
-                if cells.size:
-                    per_input[i].append(cells)
-        return matched, [_concat(parts) for parts in per_input]
+        reads = [
+            store.scan_backward_full(qpacked, ticker=ticker)
+            for store in reversed(self._sources)
+        ]
+        return self._merge_backward(reads, np.asarray(qpacked).size)
 
     def payload_entries(self):
         """Concatenated columnar payload surface across the generations.

@@ -386,6 +386,10 @@ class QueryResult:
     #: serving-cache snapshot taken when the query finished (hits, misses,
     #: evictions, open_mappings, resident_bytes); None without a catalog
     cache: dict | None = None
+    #: sorted ids of catalog partitions the query should have read but
+    #: could not (degraded at open or quarantined): the answer holds only
+    #: the live partitions' lineage.  Empty for a healthy catalog
+    degraded: list[str] = field(default_factory=list)
 
     @property
     def coords(self) -> np.ndarray:
@@ -405,8 +409,9 @@ class QueryResult:
         field in docs/serving.md.
 
         Deterministic fields — ``shape``, ``count``, ``coords`` (row-major
-        scan order of the final frontier), and the structural step fields —
-        are identical for identical requests against identical lineage;
+        scan order of the final frontier), ``degraded``, and the structural
+        step fields — are identical for identical requests against
+        identical lineage;
         ``seconds`` (wall clock) and ``cache`` (serving-cache snapshot) are
         run diagnostics and excluded from any equivalence comparison
         (:func:`repro.serving.protocol.canonical_result`)."""
@@ -418,6 +423,7 @@ class QueryResult:
             "seconds": self.seconds,
             "steps": [s.to_dict() for s in self.steps],
             "cache": self.cache,
+            "degraded": list(self.degraded),
         }
 
     def explain(self) -> str:
@@ -440,6 +446,11 @@ class QueryResult:
                 f"  {i + 1:>2}. {s.node:<{width}}  {s.direction.value:<8} "
                 f"via {s.method:<14} {s.cells_in:>8} -> {s.cells_out:<8} cells  "
                 f"{s.seconds * 1e3:8.2f} ms{note}"
+            )
+        if self.degraded:
+            lines.append(
+                f"  degraded partitions: {', '.join(self.degraded)} "
+                "(answer holds the live partitions' lineage only)"
             )
         if self.cache is not None:
             c = self.cache

@@ -178,7 +178,8 @@ class LineageRuntime:
 
     @property
     def catalog(self):
-        """The attached :class:`~repro.core.catalog.StoreCatalog`, or None."""
+        """The attached :class:`~repro.storage.partition.PartitionedCatalog`,
+        or None."""
         return self._catalog
 
     def session(self):
@@ -229,17 +230,16 @@ class LineageRuntime:
 
     def partition_fanout(self, node: str) -> int:
         """How many catalog partitions a read on ``node`` must probe — 1
-        for a monolithic (or no) catalog, the owning partition or the
-        broadcast width for a partitioned one.  Feeds the cost model's
-        scatter fan-out pricing."""
-        fanout = getattr(self._catalog, "partition_fanout", None)
-        if fanout is None:
+        with no catalog or when the node routes to one partition, the
+        broadcast width otherwise.  Feeds the cost model's scatter fan-out
+        pricing."""
+        if self._catalog is None:
             return 1
-        return fanout(node)
+        return self._catalog.partition_fanout(node)
 
     def serving_stats(self) -> dict[str, int]:
         """The catalog cache's hit/miss/evict/open-mapping counters (zeros
-        when no catalog is attached; a partitioned catalog adds its
+        when no catalog is attached; a root manifest adds its
         scatter/probe counters), plus the lock-order validator's
         counters — all zero unless ``REPRO_LOCKCHECK=1`` instrumented the
         locks (see :mod:`repro.analysis.lockcheck`) — plus the deferred-
@@ -406,16 +406,16 @@ class LineageRuntime:
         merged (compacted) segment.
 
         ``partitions`` (an int or a node→partition-id mapping) splits the
-        flush into a :class:`~repro.storage.partition.PartitionedCatalog`
-        root instead of one monolithic catalog; omitted, a full flush over
-        an attached partitioned catalog to its own directory preserves the
-        existing layout, and ``append=True`` to a partitioned root routes
-        each delta to its owning partition (``partitions`` itself cannot
-        combine with ``append`` — appends never re-partition)."""
+        flush into a partitioned root (see
+        :mod:`repro.storage.partition`) instead of one plain catalog
+        directory; omitted, a full flush onto the attached catalog's own
+        directory keeps its layout, and ``append=True`` to a partitioned
+        root routes each delta to its owning partition (``partitions``
+        itself cannot combine with ``append`` — appends never
+        re-partition)."""
         import os
 
-        from repro.core.catalog import StoreCatalog
-        from repro.storage.partition import PartitionedCatalog, is_partitioned_root
+        from repro.storage.partition import PartitionedCatalog
 
         resident = dict(self._stores)
         catalog = self._catalog
@@ -431,22 +431,13 @@ class LineageRuntime:
                 )
             if in_place:
                 return catalog.append_stores(resident)
-            if is_partitioned_root(directory):
-                root = PartitionedCatalog.open(directory)
-                try:
-                    return root.append_stores(resident)
-                finally:
-                    root.close()
-            appended, total = StoreCatalog.append(directory, resident)
-            appended.close()
-            return total
+            return PartitionedCatalog.append(directory, resident)
 
-        if partitions is None and in_place and hasattr(catalog, "node_map"):
-            # re-flushing a partitioned root onto itself keeps its layout
-            partitions = catalog.node_map()
+        if partitions is None and in_place:
+            partitions = catalog.layout()
 
         class _Stores:
-            """One-at-a-time borrowing view consumed by StoreCatalog.write."""
+            """One-at-a-time borrowing view consumed by the catalog write."""
 
             @staticmethod
             def items():
@@ -467,14 +458,9 @@ class LineageRuntime:
                         catalog.release(record)
 
         budget = catalog.memory_budget_bytes if in_place else None
-        if partitions is not None:
-            written, total = PartitionedCatalog.write(
-                directory, _Stores(), partitions=partitions, memory_budget_bytes=budget
-            )
-        else:
-            written, total = StoreCatalog.write(
-                directory, _Stores(), memory_budget_bytes=budget
-            )
+        written, total = PartitionedCatalog.write(
+            directory, _Stores(), partitions=partitions, memory_budget_bytes=budget
+        )
         if in_place:
             # the flush removed the delta files the old catalog still names
             self.attach_catalog(written)
@@ -492,27 +478,22 @@ class LineageRuntime:
         and each store's segment is opened lazily (mmap-backed) the first
         time a query asks for it via :meth:`store_for` or a session.
         ``memory_budget_bytes`` bounds the catalog's open-store cache (2Q
-        eviction); None keeps it unbounded.  A directory holding a
-        ``partitions.json`` root manifest attaches as a
-        :class:`~repro.storage.partition.PartitionedCatalog` (the budget is
-        split across its partitions).  A directory flushed before the
-        segmented format (``manifest.json``, no ``catalog.json``) is
-        refused with a :class:`~repro.errors.StorageError` — re-flush it."""
-        from repro.core.catalog import StoreCatalog
-        from repro.storage.partition import PartitionedCatalog, is_partitioned_root
+        eviction); None keeps it unbounded.  A plain catalog directory
+        attaches as a one-partition root; a directory holding a
+        ``partitions.json`` root manifest splits the budget across its
+        partitions (see :mod:`repro.storage.partition`).  A directory
+        flushed before the segmented format (``manifest.json``, no
+        ``catalog.json``) is refused with a
+        :class:`~repro.errors.StorageError` — re-flush it."""
+        from repro.storage.partition import PartitionedCatalog
 
-        if is_partitioned_root(directory):
-            return self.attach_catalog(
-                PartitionedCatalog.open(
-                    directory, memory_budget_bytes=memory_budget_bytes
-                )
-            )
         return self.attach_catalog(
-            StoreCatalog.open(directory, memory_budget_bytes=memory_budget_bytes)
+            PartitionedCatalog.open(directory, memory_budget_bytes=memory_budget_bytes)
         )
 
     def attach_catalog(self, catalog) -> int:
-        """Serve queries from an already-open :class:`StoreCatalog`."""
+        """Serve queries from an already-open
+        :class:`~repro.storage.partition.PartitionedCatalog`."""
         self._catalog = catalog
         for node, strategy in catalog.keys():
             existing = self._strategies.get(node, ())

@@ -213,7 +213,7 @@ class SubZero:
         the flush into a partitioned catalog root — N independent catalog
         directories under one ``partitions.json`` manifest (see
         :mod:`repro.storage.partition` and ``docs/partitioning.md``);
-        :meth:`load_lineage` auto-detects the root and queries scatter
+        :meth:`load_lineage` opens either layout and queries scatter
         across only the partitions that can match."""
         if self.runtime is None:
             raise WorkflowError("execute the workflow before flushing lineage")
@@ -239,19 +239,17 @@ class SubZero:
         :meth:`~repro.core.catalog.StoreCatalog.compact`).  Returns the
         :class:`~repro.core.catalog.CompactionReport`.
 
-        On a partitioned catalog the sweep fans across the partitions on a
+        On a partitioned root the sweep fans across the partitions on a
         small thread pool (their maintenance locks are independent);
-        ``parallel`` caps the workers — ignored for a monolithic catalog,
-        where the maintenance lock serialises compaction anyway."""
+        ``parallel`` caps the workers — a plain catalog directory is one
+        partition, whose maintenance lock serialises compaction anyway."""
         if self.runtime is None or self.runtime.catalog is None:
             raise WorkflowError(
                 "no lineage catalog attached; load_lineage/resume first"
             )
-        catalog = self.runtime.catalog
-        kwargs = dict(node=node, strategy=strategy, budget_bytes=budget_bytes)
-        if hasattr(catalog, "partition_ids"):
-            kwargs["parallel"] = parallel
-        return catalog.compact(**kwargs)
+        return self.runtime.catalog.compact(
+            node=node, strategy=strategy, budget_bytes=budget_bytes, parallel=parallel
+        )
 
     def compaction_advice(
         self, n_query_cells: int = 64
@@ -372,13 +370,13 @@ class SubZero:
     def _dispatch_request(
         self, executor: QueryExecutor, request: QueryRequest, session
     ) -> QueryResult:
-        """Route one request: straight through the executor for a
-        monolithic catalog, through a
+        """Route one request: through a
         :class:`~repro.storage.partition.ScatterGatherExecutor` (which
-        records the partition fan-out plan on the catalog) for a
-        partitioned one."""
+        records the partition fan-out plan on the catalog and marks the
+        partitions it could not read) when a catalog is attached, straight
+        through the executor otherwise."""
         catalog = self.runtime.catalog if self.runtime is not None else None
-        if catalog is None or not hasattr(catalog, "partition_ids"):
+        if catalog is None:
             return executor.execute_request(request, session=session)
         from repro.storage.partition import ScatterGatherExecutor
 

@@ -16,7 +16,7 @@ Pieces:
   envelope, and the canonical (diagnostics-stripped) result form.
 * :mod:`repro.serving.daemon` — :class:`QueryDaemon`, a long-lived
   stdlib ``http.server`` daemon owning one engine (and thereby one
-  :class:`~repro.core.catalog.StoreCatalog`), with bounded admission
+  :class:`~repro.storage.partition.PartitionedCatalog`), with bounded admission
   (queue + per-client caps) and explicit 429 backpressure.
 * :mod:`repro.serving.client` — :class:`DaemonClient`, a stdlib
   ``http.client`` wrapper with retry-on-connect and typed error mapping.

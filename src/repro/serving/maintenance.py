@@ -75,7 +75,7 @@ class MaintenanceWorker:
         self._thread: threading.Thread | None = None
         self._error: BaseException | None = None
         self._error_lock = lockcheck.make_lock("serving.maintenance.error")
-        #: round-robin cursor over a partitioned catalog's partition ids
+        #: round-robin cursor over the catalog's partition ids
         #: (only the worker thread touches it)
         self._rr = 0
 
@@ -120,17 +120,13 @@ class MaintenanceWorker:
     def _pick(self, advice):
         """The next compaction candidate from non-empty ``advice``.
 
-        A monolithic catalog takes the top-ranked entry.  A partitioned
-        catalog rotates *round-robin across partitions*: each pass serves
-        the worst candidate of the next partition (in id order) that has
-        any advice, so one hot partition's backlog cannot starve the
-        others' maintenance — every partition's read amplification drains
-        within one rotation."""
-        runtime = getattr(self.engine, "runtime", None)
-        catalog = getattr(runtime, "catalog", None)
-        partition_for = getattr(catalog, "partition_for_node", None)
-        if partition_for is None:
-            return advice[0]
+        A one-partition catalog takes the top-ranked entry.  Several
+        partitions rotate *round-robin*: each pass serves the worst
+        candidate of the next partition (in id order) that has any advice,
+        so one hot partition's backlog cannot starve the others'
+        maintenance — every partition's read amplification drains within
+        one rotation."""
+        catalog = self.engine.runtime.catalog
         ids = catalog.partition_ids()
         if len(ids) <= 1:
             return advice[0]
@@ -138,7 +134,7 @@ class MaintenanceWorker:
         for item in advice:
             # advice is sorted worst-first, so the first entry seen per
             # partition is that partition's costliest candidate
-            by_pid.setdefault(partition_for(item[0]), item)
+            by_pid.setdefault(catalog.partition_for_node(item[0]), item)
         n = len(ids)
         for offset in range(n):
             item = by_pid.get(ids[(self._rr + offset) % n])

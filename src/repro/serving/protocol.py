@@ -82,9 +82,9 @@ def canonical_result(obj: dict) -> dict:
     Strips wall-clock timings and the serving-cache snapshot — everything
     that legitimately differs between two executions of the same request —
     leaving the fields that must match exactly: schema version, frontier
-    shape, cell count, coordinates (row-major scan order), and the
-    structural per-step fields (node, direction, method, cell counts,
-    blackbox switches, shortcuts, dropped cells).
+    shape, cell count, coordinates (row-major scan order), the degraded
+    partition ids, and the structural per-step fields (node, direction,
+    method, cell counts, blackbox switches, shortcuts, dropped cells).
 
     ``canonical_result(daemon_response) == canonical_result(local.to_dict())``
     is the daemon's correctness contract.
@@ -99,6 +99,7 @@ def canonical_result(obj: dict) -> dict:
             "shape": list(obj["shape"]),
             "count": int(obj["count"]),
             "coords": [list(c) for c in obj["coords"]],
+            "degraded": sorted(str(pid) for pid in obj.get("degraded", ())),
             "steps": steps,
         }
     except (KeyError, TypeError, ValueError) as exc:

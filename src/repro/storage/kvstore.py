@@ -513,6 +513,10 @@ def _gather_slices(buf: bytes, starts: np.ndarray, lengths: np.ndarray, total: i
     starts = starts[keep]
     lengths = lengths[keep]
     src = np.frombuffer(buf, dtype=np.uint8)
+    if np.array_equal(starts[1:], starts[:-1] + lengths[:-1]):
+        # contiguous and in order (fanout 1, or keys already sorted): the
+        # output is one slice of the buffer, no per-byte index needed
+        return src[starts[0] : starts[0] + total].tobytes()
     # Source index of every output byte, expressed as one cumulative sum:
     # within a slice the step is 1; where slice i begins, the step jumps from
     # the last byte of slice i-1 to starts[i].

@@ -1,33 +1,37 @@
-"""Partitioned lineage catalog: independent catalog directories, one root.
+"""The engine's lineage catalog: one root over independent catalog directories.
 
 A :class:`~repro.core.catalog.StoreCatalog` serves one directory of
-segments — one box.  For bigger-than-one-box datasets this module splits a
-workflow's lineage **by node subset** into *partitions*: each partition is
-a fully independent catalog directory (its own ``catalog.json`` manifest,
-its own delta generations, bloom/zone filters, and compaction), and a root
-manifest (``partitions.json``) records the partition ids, their paths, and
-the node→partition map.  The shape follows FamDB's root+leaf partition
-files — a root index plus self-contained leaves, any subset of which can
-be present — and OrpheusDB's bolt-on facade: independent storage units
-behind one logical catalog.
+segments — one box.  :class:`PartitionedCatalog` is the only catalog the
+engine holds: a root over one or more *partitions*, each a
+``StoreCatalog`` child with its own ``catalog.json``, delta generations,
+bloom/zone filters and compaction.
 
-:class:`PartitionedCatalog` presents the same serving surface as
-``StoreCatalog`` (borrow/release pinning, lazy opens, per-key generation
-accounting, online compaction), so :class:`~repro.core.runtime.LineageRuntime`,
-:class:`~repro.core.query.QuerySession`, the background
-:class:`~repro.serving.maintenance.MaintenanceWorker`, and the serving
-daemon all work against either, unchanged.  Reads *scatter*: a key is
-routed to the partition its node maps to (one probe), falling back to an
-all-partition broadcast for nodes the map does not cover; when a key turns
-out to live in several partitions, the per-partition stores are merged
-through the same source-agnostic
+* A **plain catalog directory** (a ``catalog.json`` and no
+  ``partitions.json``) opens as a root with one implicit partition at
+  ``.``, the directory itself.  No root manifest is read or written for
+  it, every node routes to that partition, and an unreadable
+  ``catalog.json`` raises :class:`~repro.errors.StorageError` instead of
+  degrading.
+* A **partitioned root** splits a workflow's lineage **by node subset**
+  for bigger-than-one-box datasets; its root manifest
+  (``partitions.json``) records the partition ids, their paths, and the
+  node→partition map.  The shape follows FamDB's root+leaf partition
+  files and OrpheusDB's bolt-on facade: independent storage units behind
+  one logical catalog.
+
+Reads *scatter*: a key is routed to the partition its node maps to (one
+probe), falling back to an all-partition broadcast for nodes the map does
+not cover; when a key turns out to live in several partitions, the
+per-partition stores are merged through the same source-agnostic
 :class:`~repro.core.overlay.OverlayStore` union that merges generations —
 one merge implementation.
 
 Failure isolation is per partition: a torn partition (unreadable or
-corrupt child manifest) is *degraded* at open time — its nodes lose their
-materialised lineage (queries on them fall back to mapping functions or
-re-execution) while every other partition keeps serving.
+corrupt child manifest) under a root manifest is *degraded* at open time —
+its nodes lose their materialised lineage (queries on them fall back to
+mapping functions or re-execution) while every other partition keeps
+serving, and a query's :attr:`~repro.core.query.QueryResult.degraded`
+names the partitions it could not read.
 :func:`repro.workflow.recovery.recover_lineage` persists that verdict by
 marking the partition ``quarantined`` in the root manifest.
 
@@ -42,7 +46,6 @@ deployment would send the request to (see ``docs/partitioning.md``).
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +53,12 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from repro.analysis import lockcheck
-from repro.core.catalog import CompactionReport, StoreCatalog
+from repro.core.catalog import (
+    CompactionReport,
+    StoreCatalog,
+    _read_manifest,
+    _write_manifest,
+)
 from repro.core.modes import StorageStrategy
 from repro.core.overlay import FilterStats, OverlayStore
 from repro.errors import QueryError, StorageError
@@ -103,15 +111,16 @@ class PartitionInfo:
     quarantined: bool = False
 
 
+#: the one partition of a plain catalog directory: the directory itself
+_PLAIN = PartitionInfo(id=".", path=".")
+
+
 @dataclass
 class _PartitionLease:
-    """One borrow served by the partitioned root: the merged read surface
-    plus the child-catalog pins backing it.  ``store`` is the single
-    partition's store in the common (targeted) case, or an overlay when
-    the key lives in several partitions;
-    ``leases`` are released child-by-child on the root's release."""
+    """One borrow served by the root: ``store`` is the single partition's
+    store, or an overlay when the key lives in several partitions;
+    ``leases`` are the child pins, released child by child."""
 
-    key: tuple[str, StorageStrategy]
     store: object
     leases: list[tuple[StoreCatalog, object]] = field(default_factory=list)
 
@@ -129,16 +138,14 @@ class ScatterPlan:
     broadcast: bool
     #: the path nodes the plan was derived from
     nodes: tuple[str, ...]
-
-    @property
-    def fanout(self) -> int:
-        return len(self.partition_ids)
+    #: sorted ids of partitions the request should read but cannot
+    #: (degraded at open or quarantined): its answer omits their lineage
+    degraded: tuple[str, ...] = ()
 
 
 class PartitionedCatalog:
-    """Root facade over per-partition :class:`StoreCatalog` children
-    (see module docstring).  Duck-compatible with ``StoreCatalog`` for
-    every surface the runtime, sessions, recovery, and maintenance use."""
+    """Root over per-partition :class:`StoreCatalog` children (see module
+    docstring)."""
 
     def __init__(
         self,
@@ -163,6 +170,10 @@ class PartitionedCatalog:
                 raise StorageError(
                     f"node {node!r} maps to unknown partition {pid!r}"
                 )
+        #: the partition every node outside the map routes to: the plain
+        #: catalog directory's implicit one; None under a root manifest,
+        #: where unmapped nodes broadcast
+        self._default = _PLAIN.id if list(self._infos.values()) == [_PLAIN] else None
         #: partition id -> child catalog; None when quarantined or degraded
         self._children: dict[str, StoreCatalog | None] = {}
         #: ``(partition id, StorageError)`` per partition that failed to
@@ -180,6 +191,8 @@ class PartitionedCatalog:
                     memory_budget_bytes=child_budget,
                 )
             except StorageError as exc:
+                if self._default is not None:
+                    raise  # a plain directory has nothing to degrade to
                 # per-partition quarantine at open: a torn partition
                 # degrades only its own nodes, never the whole root
                 self._children[info.id] = None
@@ -199,8 +212,9 @@ class PartitionedCatalog:
     @staticmethod
     def _split_budget(budget: int | None, n_live: int) -> int | None:
         """Each child gets an even share of the root budget, so the total
-        resident bytes stay bounded by the root figure (not N times it)."""
-        if budget is None or n_live <= 0:
+        resident bytes stay bounded by the root figure (not N times it).
+        A lone partition keeps the whole budget."""
+        if budget is None or n_live <= 1:
             return budget
         return max(budget // n_live, _MIN_CHILD_BUDGET)
 
@@ -211,20 +225,25 @@ class PartitionedCatalog:
         cls,
         directory: str,
         stores,
-        partitions,
+        partitions=None,
         memory_budget_bytes: int | None = None,
     ) -> tuple["PartitionedCatalog", int]:
-        """Flush ``stores`` split across partitions; returns
-        ``(catalog, total_bytes_written)``.
+        """Flush ``stores``; returns ``(catalog, total_bytes_written)``.
 
-        ``partitions`` is either an int ``N`` (partitions ``p0..p{N-1}``,
-        nodes hash-assigned via :func:`assign_partition`) or an explicit
-        ``node -> partition id`` mapping (ids are taken from its values;
-        unmapped nodes are hash-assigned over the same ids).  ``stores``
-        is anything with ``.items()`` yielding ``((node, strategy),
-        store)`` — including the runtime's lazy one-at-a-time borrowing
-        view, which this method iterates once per partition so at most
-        one store is pinned at a time."""
+        ``partitions=None`` writes a plain catalog directory (one
+        ``catalog.json``, no root manifest).  Otherwise it is an int ``N``
+        (partitions ``p0..p{N-1}``, nodes hash-assigned via
+        :func:`assign_partition`) or an explicit ``node -> partition id``
+        mapping (ids are taken from its values; unmapped nodes are
+        hash-assigned over the same ids).  ``stores`` is anything with
+        ``.items()`` yielding ``((node, strategy), store)`` — including the
+        runtime's lazy one-at-a-time borrowing view, which this method
+        iterates once per partition so at most one store is pinned at a
+        time."""
+        if partitions is None:
+            child, total = StoreCatalog.write(directory, stores)
+            child.close()
+            return cls(directory, [_PLAIN], {}, memory_budget_bytes), total
         infos, explicit = cls._resolve_partitions(partitions)
         try:
             os.makedirs(directory, exist_ok=True)
@@ -307,22 +326,7 @@ class PartitionedCatalog:
                 "nodes": dict(sorted(self._node_map.items())),
             }
         path = os.path.join(self.directory, PARTITIONS_MANIFEST)
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, indent=2, sort_keys=True)
-            os.replace(tmp, path)
-            return os.path.getsize(path)
-        except BaseException as exc:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            if isinstance(exc, OSError):
-                raise StorageError(
-                    f"cannot write partition manifest {path!r}: {exc}"
-                ) from exc
-            raise
+        return _write_manifest(path, obj, "partition manifest")
 
     # -- opening ---------------------------------------------------------------
 
@@ -331,25 +335,15 @@ class PartitionedCatalog:
         cls, directory: str, memory_budget_bytes: int | None = None
     ) -> "PartitionedCatalog":
         """Parse the root manifest and each live child manifest; no
-        segment file is touched.  A child that fails to open is degraded
-        (recorded in :attr:`degraded`), not fatal."""
+        segment file is touched.  Under a root manifest a child that fails
+        to open is degraded (recorded in :attr:`degraded`), not fatal; a
+        plain catalog directory's own ``catalog.json`` must open."""
+        if not is_partitioned_root(directory):
+            return cls(directory, [_PLAIN], {}, memory_budget_bytes)
         path = os.path.join(directory, PARTITIONS_MANIFEST)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except OSError as exc:
-            raise StorageError(
-                f"no partitioned catalog at {directory!r}: {exc}"
-            ) from exc
-        except ValueError as exc:
-            raise StorageError(f"corrupt partition manifest {path!r}: {exc}") from exc
-        if manifest.get("format") != PARTITION_FORMAT:
-            raise StorageError(f"{path!r} is not a partition manifest")
-        if int(manifest.get("version", 0)) > PARTITION_VERSION:
-            raise StorageError(
-                f"partition manifest {path!r} has version {manifest['version']}, "
-                f"newer than supported version {PARTITION_VERSION}"
-            )
+        manifest = _read_manifest(
+            path, PARTITION_FORMAT, PARTITION_VERSION, "partition manifest"
+        )
         try:
             infos = [
                 PartitionInfo(
@@ -364,6 +358,18 @@ class PartitionedCatalog:
             raise StorageError(f"corrupt partition manifest {path!r}: {exc}") from exc
         return cls(directory, infos, node_map, memory_budget_bytes=memory_budget_bytes)
 
+    @classmethod
+    def append(cls, directory: str, stores) -> int:
+        """Append ``stores`` as delta generations to the catalog at
+        ``directory`` (see :meth:`append_stores`), creating a plain one
+        when there is none; returns bytes written."""
+        if is_partitioned_root(directory):
+            with cls.open(directory) as root:
+                return root.append_stores(stores)
+        child, total = StoreCatalog.append(directory, stores)
+        child.close()
+        return total
+
     # -- partition topology ----------------------------------------------------
 
     def partition_ids(self) -> list[str]:
@@ -375,19 +381,23 @@ class PartitionedCatalog:
         return self._children.get(pid)
 
     def partition_for_node(self, node: str) -> str | None:
-        """The partition the node map routes ``node`` to; None when the
-        node is unmapped (reads broadcast)."""
-        return self._node_map.get(node)
+        """The partition ``node`` routes to; None when a root manifest's
+        node map does not cover it (reads broadcast)."""
+        return self._node_map.get(node, self._default)
 
     def partition_fanout(self, node: str) -> int:
-        """How many partitions a read on ``node`` must probe: 1 when the
-        node map covers it, every live partition otherwise.  Feeds the
-        cost model's scatter fan-out pricing."""
-        if self._node_map.get(node) is not None:
+        """How many partitions a read on ``node`` must probe: 1 when it
+        routes to one partition, every live partition otherwise.  Feeds
+        the cost model's scatter fan-out pricing."""
+        if self.partition_for_node(node) is not None:
             return 1
         return max(1, len(self._live_children()))
 
-    def node_map(self) -> dict[str, str]:
+    def layout(self) -> dict[str, str] | None:
+        """The ``partitions`` argument of :meth:`write` that keeps this
+        root's layout (None for a plain catalog directory)."""
+        if self._default is not None:
+            return None
         with self._lock:
             return dict(self._node_map)
 
@@ -400,9 +410,9 @@ class PartitionedCatalog:
             }
 
     def _children_for(self, node: str) -> list[tuple[str, StoreCatalog]]:
-        """The children a read on ``node`` must consult: the mapped one
-        (possibly none when it is degraded), or — unmapped — all live."""
-        pid = self._node_map.get(node)
+        """The children a read on ``node`` must consult: the one it routes
+        to (possibly none when it is degraded), or — unmapped — all live."""
+        pid = self.partition_for_node(node)
         if pid is not None:
             child = self._children.get(pid)
             return [(pid, child)] if child is not None else []
@@ -426,14 +436,17 @@ class PartitionedCatalog:
 
     # -- scatter accounting ----------------------------------------------------
 
-    def _count_probes(self, pids: list[str], targeted: bool) -> None:
+    def _route(self, node: str) -> list[tuple[str, StoreCatalog]]:
+        """:meth:`_children_for`, counted as one probe per child."""
+        targets = self._children_for(node)
         with self._lock:
-            for pid in pids:
+            for pid, _child in targets:
                 self._probes[pid] = self._probes.get(pid, 0) + 1
-            if targeted:
-                self._targeted_probes += len(pids)
+            if self.partition_for_node(node) is not None:
+                self._targeted_probes += len(targets)
             else:
-                self._broadcast_probes += len(pids)
+                self._broadcast_probes += len(targets)
+        return targets
 
     def probes_by_partition(self) -> dict[str, int]:
         """Child-catalog probes per partition id (the counter the targeted
@@ -446,7 +459,7 @@ class PartitionedCatalog:
         :class:`ScatterGatherExecutor`)."""
         with self._lock:
             self._scatter_queries += 1
-            self._scatter_partitions_matched += plan.fanout
+            self._scatter_partitions_matched += len(plan.partition_ids)
             if plan.broadcast:
                 self._scatter_broadcasts += 1
 
@@ -458,11 +471,7 @@ class PartitionedCatalog:
         a lease whose ``.store`` is the merged read surface — the single
         partition's store, or an overlay of the partitions' stores — or None
         when no live partition serves the key."""
-        targets = self._children_for(node)
-        self._count_probes(
-            [pid for pid, _ in targets],
-            targeted=self._node_map.get(node) is not None,
-        )
+        targets = self._route(node)
         leases: list[tuple[StoreCatalog, object]] = []
         try:
             for _pid, child in targets:
@@ -475,15 +484,8 @@ class PartitionedCatalog:
             raise
         if not leases:
             return None
-        if len(leases) == 1:
-            store = leases[0][1].store
-        else:
-            # the key spans partitions: same union code as generations
-            store = OverlayStore(
-                [record.store for _, record in leases],
-                filter_stats=self._filter_stats,
-            )
-        return _PartitionLease(key=(node, strategy), store=store, leases=leases)
+        store = self._union([record.store for _, record in leases])
+        return _PartitionLease(store=store, leases=leases)
 
     def release(self, lease: _PartitionLease) -> None:
         for child, record in lease.leases:
@@ -494,18 +496,13 @@ class PartitionedCatalog:
         contract): the store is live when handed back, but a later child
         eviction may close it — long-lived readers should borrow through a
         session instead."""
-        targets = self._children_for(node)
-        self._count_probes(
-            [pid for pid, _ in targets],
-            targeted=self._node_map.get(node) is not None,
-        )
-        stores = []
-        for _pid, child in targets:
-            store = child.open_store(node, strategy)
-            if store is not None:
-                stores.append(store)
-        if not stores:
-            return None
+        stores = [child.open_store(node, strategy) for _pid, child in self._route(node)]
+        stores = [store for store in stores if store is not None]
+        return self._union(stores) if stores else None
+
+    def _union(self, stores: list):
+        """One partition's store as is; a key spanning partitions through
+        the same overlay union as generations."""
         if len(stores) == 1:
             return stores[0]
         return OverlayStore(stores, filter_stats=self._filter_stats)
@@ -525,12 +522,12 @@ class PartitionedCatalog:
         grew = False
         with self._lock:
             for (node, _strategy), _store in pending:
-                if node not in self._node_map:
+                if self.partition_for_node(node) is None:
                     self._node_map[node] = assign_partition(node, ids)
                     grew = True
         by_pid: dict[str, dict] = {}
         for key, store in pending:
-            pid = self._node_map[key[0]]
+            pid = self.partition_for_node(key[0])
             if self._children.get(pid) is None:
                 raise StorageError(
                     f"cannot append node {key[0]!r}: its partition {pid!r} "
@@ -560,7 +557,7 @@ class PartitionedCatalog:
         thread pool — ``parallel`` workers (default: one per partition,
         capped at 4); each partition applies ``budget_bytes`` to its own
         sweep, so the cap bounds per-partition foreground impact."""
-        if node is not None and self._node_map.get(node) is not None:
+        if node is not None and self.partition_for_node(node) is not None:
             targets = [c for _pid, c in self._children_for(node)]
         else:
             targets = list(self._live_children().values())
@@ -601,13 +598,18 @@ class PartitionedCatalog:
     def entries(self) -> list:
         return [e for child in self._live_children().values() for e in child.entries()]
 
+    def generations_for(self, node: str, strategy: StorageStrategy) -> tuple:
+        """Every live generation of the key in the partitions serving it."""
+        return tuple(
+            entry
+            for _pid, child in self._children_for(node)
+            for entry in child.generations_for(node, strategy)
+        )
+
     def generation_count(self, node: str, strategy: StorageStrategy) -> int:
         """Live sources a read must union — generations summed across the
         partitions serving the key (normally exactly one partition)."""
-        return sum(
-            child.generation_count(node, strategy)
-            for _pid, child in self._children_for(node)
-        )
+        return len(self.generations_for(node, strategy))
 
     def manifest_bytes(self, node: str, strategy: StorageStrategy) -> int:
         return sum(
@@ -615,25 +617,21 @@ class PartitionedCatalog:
             for _pid, child in self._children_for(node)
         )
 
-    def lowered_ready(self, node: str, strategy: StorageStrategy) -> bool:
+    def _every_holder(self, node: str, strategy: StorageStrategy, ready) -> bool:
+        """True when some partition holds the key and ``ready(child)`` is
+        true of every one that does."""
         holders = [
             child
             for _pid, child in self._children_for(node)
             if child.generation_count(node, strategy)
         ]
-        return bool(holders) and all(
-            child.lowered_ready(node, strategy) for child in holders
-        )
+        return bool(holders) and all(ready(child) for child in holders)
+
+    def lowered_ready(self, node: str, strategy: StorageStrategy) -> bool:
+        return self._every_holder(node, strategy, lambda c: c.lowered_ready(node, strategy))
 
     def filters_ready(self, node: str, strategy: StorageStrategy) -> bool:
-        holders = [
-            child
-            for _pid, child in self._children_for(node)
-            if child.generation_count(node, strategy)
-        ]
-        return bool(holders) and all(
-            child.filters_ready(node, strategy) for child in holders
-        )
+        return self._every_holder(node, strategy, lambda c: c.filters_ready(node, strategy))
 
     # -- introspection -----------------------------------------------------------
 
@@ -644,15 +642,18 @@ class PartitionedCatalog:
         )
 
     def stats(self) -> dict[str, int]:
-        """Child cache counters summed, plus the root's scatter counters
-        (``partitions``, ``partition_probes``, targeted/broadcast splits,
-        and the request-level scatter-plan tallies)."""
+        """Child cache counters summed, plus — under a root manifest — the
+        root's scatter counters (``partitions``, ``partition_probes``,
+        targeted/broadcast splits, and the request-level scatter-plan
+        tallies)."""
         out: dict[str, int] = {}
         for child in self._live_children().values():
             for key, value in child.stats().items():
                 out[key] = out.get(key, 0) + value
         for key, value in self._filter_stats.snapshot().items():
             out[key] = out.get(key, 0) + value
+        if self._default is not None:
+            return out
         with self._lock:
             out["partitions"] = len(self._infos)
             out["partitions_degraded"] = sum(
@@ -689,15 +690,12 @@ class ScatterGatherExecutor:
 
     Wraps a :class:`~repro.core.query.QueryExecutor`: :meth:`plan`
     computes which partitions a :class:`~repro.core.query.QueryRequest`
-    can touch (the unique partitions of its path's nodes — resolved from
-    endpoints when the request carries those), and
+    can touch (the unique partitions of its path's nodes), and
     :meth:`execute_request` records the plan on the catalog's scatter
-    counters before running the query through the standard executor,
-    whose per-step store borrows then land only on the planned
-    partitions.  The plan degrades to an all-partition broadcast when it
-    cannot be narrowed: a path node missing from the node map, an
-    unresolvable path, or ``entire_array`` forced on (shortcut steps may
-    touch any store the engine deems cheapest)."""
+    counters before running the query.  The plan is an all-partition
+    broadcast when it cannot be narrowed: a path node missing from the
+    node map, an unresolvable path, or ``entire_array`` forced on
+    (shortcut steps may touch any store the engine deems cheapest)."""
 
     def __init__(self, executor, catalog: PartitionedCatalog):
         self._executor = executor
@@ -707,26 +705,37 @@ class ScatterGatherExecutor:
         """The partitions ``request`` can match; never raises — an
         unresolvable request yields a broadcast plan and the real error
         surfaces from execution."""
-        all_live = tuple(self.catalog._live_children())
+        live = self.catalog._live_children()
+        dead = tuple(pid for pid in sorted(self.catalog._infos) if pid not in live)
+        broadcast = ScatterPlan(
+            partition_ids=tuple(live), broadcast=True, nodes=(), degraded=dead
+        )
         try:
             path = request.resolve_path(self._executor.instance.spec)
             nodes = tuple(step.node for step in path)
         except QueryError:
-            return ScatterPlan(partition_ids=all_live, broadcast=True, nodes=())
+            return broadcast
         if request.entire_array is True:
-            return ScatterPlan(partition_ids=all_live, broadcast=True, nodes=nodes)
+            return replace(broadcast, nodes=nodes)
         pids: list[str] = []
         for node in nodes:
             pid = self.catalog.partition_for_node(node)
             if pid is None:
-                return ScatterPlan(
-                    partition_ids=all_live, broadcast=True, nodes=nodes
-                )
+                return replace(broadcast, nodes=nodes)
             if pid not in pids:
                 pids.append(pid)
-        return ScatterPlan(partition_ids=tuple(pids), broadcast=False, nodes=nodes)
+        return ScatterPlan(
+            partition_ids=tuple(pids),
+            broadcast=False,
+            nodes=nodes,
+            degraded=tuple(pid for pid in dead if pid in pids),
+        )
 
     def execute_request(self, request, session=None):
+        """Plan, account and run ``request``; the result's ``degraded``
+        lists the partitions its answer could not read."""
         plan = self.plan(request)
         self.catalog.record_scatter(plan)
-        return self._executor.execute_request(request, session=session)
+        result = self._executor.execute_request(request, session=session)
+        result.degraded = list(plan.degraded)
+        return result

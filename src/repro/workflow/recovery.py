@@ -23,12 +23,11 @@ under it keep serving.  Recovery also sweeps up generation files the
 manifest no longer references — the residue of a crash between
 compaction's manifest swap and its deferred unlink.
 
-Partitioned catalogs (:mod:`repro.storage.partition`) recover *per
-partition*: each live partition's segments are verified exactly like a
-monolithic catalog's, and a partition whose own ``catalog.json`` is torn
-is quarantined whole — flagged in the root ``partitions.json`` manifest so
-later loads skip it — degrading only that partition's nodes while every
-other partition keeps serving.
+Catalogs (:mod:`repro.storage.partition`) recover *per partition*: each
+live partition's segments are verified alike, and under a root manifest a
+partition whose own ``catalog.json`` is torn is quarantined whole —
+flagged in ``partitions.json`` so later loads skip it — degrading only
+that partition's nodes while every other partition keeps serving.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.arrays.versions import VersionStore
-from repro.core.catalog import MANIFEST_NAME, StoreCatalog
+from repro.core.catalog import MANIFEST_NAME, StoreCatalog, store_filename
 from repro.errors import StorageError, WorkflowError
 from repro.storage.segment import Segment, generation_files
 from repro.storage.wal import WriteAheadLog
@@ -55,19 +54,18 @@ class LineageRecovery:
     """Outcome of :func:`recover_lineage`: the verified catalog plus what
     had to be set aside."""
 
-    #: the verified :class:`StoreCatalog` — or a
-    #: :class:`~repro.storage.partition.PartitionedCatalog` when the
-    #: directory held a partitioned root
+    #: the verified :class:`~repro.storage.partition.PartitionedCatalog`
+    #: (a plain catalog directory opens as its one partition)
     catalog: object
-    #: ``(segment filename, StorageError)`` per quarantined segment; for a
-    #: partitioned catalog the filename is partition-qualified
+    #: ``(segment filename, StorageError)`` per quarantined segment; under
+    #: a root manifest the filename is partition-qualified
     #: (``"p1/smooth__full...seg"``), and a partition torn whole reports as
     #: its manifest path (``"p1/catalog.json"``)
     quarantined: list[tuple[str, StorageError]] = field(default_factory=list)
     #: unreferenced generation files swept up (compaction-crash residue)
     removed_stale: list[str] = field(default_factory=list)
-    #: partition ids set aside whole (torn child manifest) — empty for a
-    #: monolithic catalog
+    #: partition ids set aside whole (torn child manifest) — always empty
+    #: for a plain catalog directory
     quarantined_partitions: list[str] = field(default_factory=list)
 
     @property
@@ -103,55 +101,47 @@ def recover_lineage(
     to the verified catalog when given, so queries resume lazily off the
     surviving segments.
 
-    A partitioned root (``partitions.json``) recovers partition by
-    partition: live partitions are verified like monolithic catalogs (their
-    quarantined segment names come back partition-qualified), and a
-    partition whose child manifest itself fails to open is quarantined
-    *whole* — flagged in the root manifest, listed in
-    ``quarantined_partitions`` — so only its nodes degrade.
+    Under a root manifest (``partitions.json``) quarantined segment names
+    come back partition-qualified, and a partition whose child manifest
+    itself fails to open is quarantined *whole* — flagged in the root
+    manifest, listed in ``quarantined_partitions`` — so only its nodes
+    degrade.
     """
-    from repro.storage.partition import PartitionedCatalog, is_partitioned_root
+    from repro.storage.partition import PartitionedCatalog
 
-    if is_partitioned_root(directory):
-        root = PartitionedCatalog.open(directory)
-        quarantined: list[tuple[str, StorageError]] = []
-        removed_stale: list[str] = []
-        torn: list[str] = []
-        for pid, exc in root.degraded:
-            error = StorageError(
-                f"partition {pid!r} failed to open and was quarantined "
-                f"whole: {exc}"
-            )
-            if strict:
-                raise error from exc
-            torn.append(pid)
-            quarantined.append((f"{pid}/{MANIFEST_NAME}", error))
-        for pid in root.partition_ids():
-            child = root.partition(pid)
-            if child is None:
-                continue
-            bad, stale = _verify_catalog(child, strict=strict, prefix=f"{pid}/")
-            quarantined.extend(bad)
-            removed_stale.extend(stale)
-        for pid in torn:
-            # persist the verdict so later plain load_all calls skip the
-            # torn partition instead of re-degrading it on every open
-            root.mark_quarantined(pid)
-        if runtime is not None:
-            runtime.attach_catalog(root)
-        return LineageRecovery(
-            catalog=root,
-            quarantined=quarantined,
-            removed_stale=removed_stale,
-            quarantined_partitions=torn,
+    root = PartitionedCatalog.open(directory)
+    quarantined: list[tuple[str, StorageError]] = []
+    removed_stale: list[str] = []
+    torn: list[str] = []
+    for pid, exc in root.degraded:
+        error = StorageError(
+            f"partition {pid!r} failed to open and was quarantined "
+            f"whole: {exc}"
         )
-
-    catalog = StoreCatalog.open(directory)
-    quarantined, removed_stale = _verify_catalog(catalog, strict=strict)
+        if strict:
+            raise error from exc
+        torn.append(pid)
+        quarantined.append((f"{pid}/{MANIFEST_NAME}", error))
+    for pid in root.partition_ids():
+        child = root.partition(pid)
+        if child is None:
+            continue
+        where = os.path.relpath(child.directory, directory)
+        prefix = "" if where == os.curdir else f"{where}/"
+        bad, stale = _verify_catalog(child, strict=strict, prefix=prefix)
+        quarantined.extend(bad)
+        removed_stale.extend(stale)
+    for pid in torn:
+        # persist the verdict so later plain load_all calls skip the
+        # torn partition instead of re-degrading it on every open
+        root.mark_quarantined(pid)
     if runtime is not None:
-        runtime.attach_catalog(catalog)
+        runtime.attach_catalog(root)
     return LineageRecovery(
-        catalog=catalog, quarantined=quarantined, removed_stale=removed_stale
+        catalog=root,
+        quarantined=quarantined,
+        removed_stale=removed_stale,
+        quarantined_partitions=torn,
     )
 
 
@@ -204,8 +194,6 @@ def _remove_stale_generations(directory: str, catalog: StoreCatalog) -> list[str
     append must not trip over their ordinals forever.  Only files carrying
     the ``.gen.`` infix are candidates — base segments are never touched.
     """
-    from repro.core.catalog import store_filename
-
     referenced = {entry.file for entry in catalog.entries()}
     removed: list[str] = []
     for node, strategy in catalog.keys():

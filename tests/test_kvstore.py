@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage.kvstore import BlobStore, HashStore
+from repro.storage.kvstore import BlobStore, HashStore, _gather_slices
 
 
 class TestHashStoreBasics:
@@ -163,3 +163,23 @@ class TestBlobStore:
         blobs.append(b"x")
         blobs.clear()
         assert len(blobs) == 0 and blobs.disk_bytes() == 0
+
+
+class TestGatherSlices:
+    """``_gather_slices`` against a plain byte join, for slices laid end to
+    end in order (the one-slice copy) and for permuted ones (the per-byte
+    index), empty slices included."""
+
+    @given(
+        lengths=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_byte_join(self, lengths, data):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        buf = bytes(range(256))[: int(lengths.sum()) + 3]
+        starts = 3 + np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)
+        order = np.asarray(data.draw(st.permutations(range(lengths.size))))
+        for s, l in ((starts, lengths), (starts[order], lengths[order])):
+            expected = b"".join(buf[a : a + b] for a, b in zip(s, l))
+            assert _gather_slices(buf, s, l, int(l.sum())) == expected

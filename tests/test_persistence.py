@@ -153,10 +153,10 @@ class TestRuntimeFlushAll:
         assert loaded == 2
         assert FULL_ONE_B in fresh.strategies_for("spot")
         # lazy-open: attaching the catalog materialises nothing...
-        assert fresh._catalog.open_count() == 0
+        assert fresh.catalog.stats()["open_mappings"] == 0
         restored = fresh.store_for("spot", FULL_ONE_B).backward_full(q)
         # ...and the first query opened exactly the store it needed
-        assert fresh._catalog.open_count() == 1
+        assert fresh.catalog.stats()["open_mappings"] == 1
         assert (original[0] == restored[0]).all()
         assert set(original[1][0].tolist()) == set(restored[1][0].tolist())
 
@@ -185,8 +185,8 @@ class TestRuntimeFlushAll:
         before = fresh.total_disk_bytes()
         assert before > 0
         assert fresh.disk_bytes_by_node().get("spot", 0) > 0
-        assert fresh._catalog.open_count() == 0
+        assert fresh.catalog.stats()["open_mappings"] == 0
         # ...and does not drift when queries lazily open stores
         fresh.store_for("spot", FULL_ONE_B)
-        assert fresh._catalog.open_count() == 1
+        assert fresh.catalog.stats()["open_mappings"] == 1
         assert fresh.total_disk_bytes() == before

@@ -377,7 +377,7 @@ class TestFreshProcessServing:
         _flushed_runtime(tmp_path, rng)
         middle = LineageRuntime()
         assert middle.load_all(str(tmp_path)) == 2
-        assert middle._catalog.open_count() == 0
+        assert middle.catalog.stats()["open_mappings"] == 0
         middle.flush_all(str(tmp_path))  # nothing was ever queried
 
         final = LineageRuntime()
