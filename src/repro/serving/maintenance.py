@@ -47,8 +47,11 @@ DEFAULT_BUDGET_BYTES = 32 << 20
 class MaintenanceWorker:
     """One background thread that keeps an engine's catalog compacted.
 
-    ``engine`` is anything exposing ``compaction_advice()`` and
-    ``compact_lineage(node=, strategy=, budget_bytes=)`` (the
+    ``engine`` is anything exposing ``compaction_advice()``,
+    ``compact_lineage(node=, strategy=, budget_bytes=)`` and
+    ``runtime.catalog``, the
+    :class:`~repro.storage.partition.PartitionedCatalog` those act on,
+    whose partitions the worker rotates across (the
     :class:`~repro.core.subzero.SubZero` facade).  ``is_idle`` is the
     foreground-pressure probe — the worker only starts a slice while it
     returns True, and a probe flipping False between slices is the

@@ -706,7 +706,7 @@ class ScatterGatherExecutor:
         unresolvable request yields a broadcast plan and the real error
         surfaces from execution."""
         live = self.catalog._live_children()
-        dead = tuple(pid for pid in sorted(self.catalog._infos) if pid not in live)
+        dead = tuple(sorted(set(self.catalog.partition_ids()) - set(live)))
         broadcast = ScatterPlan(
             partition_ids=tuple(live), broadcast=True, nodes=(), degraded=dead
         )

@@ -126,8 +126,8 @@ def recover_lineage(
         child = root.partition(pid)
         if child is None:
             continue
-        where = os.path.relpath(child.directory, directory)
-        prefix = "" if where == os.curdir else f"{where}/"
+        # a plain directory's one partition is "." and keeps bare names
+        prefix = "" if pid == os.curdir else f"{pid}/"
         bad, stale = _verify_catalog(child, strict=strict, prefix=prefix)
         quarantined.extend(bad)
         removed_stale.extend(stale)

@@ -158,6 +158,13 @@ class TestUdfLineageShapes:
         result = subzero.backward_query([cell], [("crd_1", 0)])
         assert {tuple(c) for c in result.coords} == {cell}
 
+    def test_crd_forward_map_is_identity(self):
+        """The forward mapping function sends each input cell to the same
+        mask cell; called directly, as no deterministic tier-1 query
+        reaches it."""
+        cells = np.array([[0, 0], [3, 5]])
+        assert CosmicRayDetect().map_f_many(cells, 0).tolist() == cells.tolist()
+
     def test_star_cells_share_lineage(self, subzero):
         """All pixels of one star have the same (region) lineage."""
         labels = subzero.instance.output_array("star_detect").values().astype(int)
