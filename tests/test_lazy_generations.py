@@ -20,6 +20,7 @@ Under test:
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -206,18 +207,25 @@ class TestResolveRaces:
         assert made[0].closed
 
 
-def test_threads_sharing_lazy_deltas_leak_no_mapping(tmp_path, monkeypatch):
+def _share_lazy_deltas(tmp_path, monkeypatch, open_delay=0.0):
     """Readers (more threads than cores, tiny switch interval) share one
     overlay's lazy deltas while a one-byte budget evicts around them:
     every answer stays exact, and every segment mapped is closed at the
-    end — a lost install would leak a mapping or close one under a reader."""
+    end — a lost install would leak a mapping or close one under a reader.
+    ``open_delay`` seconds pass after each segment is mapped, which widens
+    the window in which two first reads race in ``LazySource.resolve``."""
     _tiled_catalog(str(tmp_path))
     segments: list = []
     real = seglib.Segment.open.__func__
 
     def spy(cls, path, verify=False):
-        segments.append(real(cls, path, verify=verify))
-        return segments[-1]
+        # return the handle this call opened: ``segments[-1]`` may already
+        # be another thread's, which would hand two stores one mapping
+        seg = real(cls, path, verify=verify)
+        segments.append(seg)
+        if open_delay:
+            time.sleep(open_delay)
+        return seg
 
     monkeypatch.setattr(seglib.Segment, "open", classmethod(spy))
     catalog = StoreCatalog.open(str(tmp_path), memory_budget_bytes=1)
@@ -253,6 +261,16 @@ def test_threads_sharing_lazy_deltas_leak_no_mapping(tmp_path, monkeypatch):
     assert catalog.stats()["open_mappings"] == 0
     catalog.close()
     assert segments and all(seg.closed for seg in segments)
+
+
+def test_threads_sharing_lazy_deltas_leak_no_mapping(tmp_path, monkeypatch):
+    _share_lazy_deltas(tmp_path, monkeypatch)
+
+
+def test_threads_sharing_slow_opening_deltas_leak_no_mapping(tmp_path, monkeypatch):
+    """The same readers with every open slowed by 2 ms, so concurrent first
+    reads of one delta overlap in ``LazySource.resolve``."""
+    _share_lazy_deltas(tmp_path, monkeypatch, open_delay=0.002)
 
 
 # -- lazy vs eager equivalence ------------------------------------------------
