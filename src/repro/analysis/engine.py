@@ -1,8 +1,8 @@
 """Rule-engine core for the repo-invariant linter (``python -m repro.analysis``).
 
 The serving core's correctness rests on contracts no general-purpose linter
-knows about: refcounted ``Segment.acquire``/``close`` pairing, catalog
-``borrow``/``release`` pinning, "segment opens run outside the catalog
+knows about: catalog ``borrow``/``release`` pinning (the record's count
+closes the mappings), "segment opens run outside the catalog
 lock", tmp-write + atomic rename, "storage never leaks a raw ``OSError``".
 This engine machine-checks them: it walks the package AST once per file and
 hands each module to a set of repo-specific rules

@@ -28,9 +28,9 @@ class SZ001(Rule):
     id = "SZ001"
     title = "acquire()/borrow() results are released on every path"
     rationale = (
-        "Segments are refcounted (`acquire`/`close`) and catalog records "
-        "are pinned (`borrow`/`release`); a leaked ref pins an mmap and a "
-        "file descriptor for the life of the process, defeating the "
+        "Catalog records are pinned (`borrow`/`release`) and their count "
+        "closes the mappings; semaphores pair `acquire`/`release`.  A leaked "
+        "pin holds an mmap and a file for the life of the process, defeating the "
         "cache's eviction budget.  A call whose result neither escapes nor reaches a "
         "release on the failure path is a leak."
     )

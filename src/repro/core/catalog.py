@@ -46,21 +46,25 @@ Since the append-merge refactor the catalog is also **generational**:
 * :meth:`StoreCatalog.compact` merges a key's generations back into one
   base segment *online*: the merged segment is written to a tmp file and
   renamed into place, the manifest is swapped atomically, and concurrent
-  sessions pinned on the old generation set keep serving it — the delta
-  files they still map are unlinked only when the last pin drops
-  (``StoreCatalog._deferred_unlink``, queued by
-  ``StoreCatalog._defer_unlink_locked``).  Eviction accounting is per
-  generation: an open store is charged its manifest bytes, and an overlay
-  costs its base plus the deltas it has opened.  A borrow maps the base
-  (generation 0) only; each delta is a
+  sessions pinned on the old generation set keep serving it.  Eviction
+  accounting is per generation: an open store is charged its manifest
+  bytes, and an overlay costs its base plus the deltas it has opened.  A
+  borrow maps the base (generation 0) only; each delta is a
   :class:`~repro.core.overlay.LazySource` that maps its segment on first
   read.  The catalog keeps every delta's filters resident once it has been
   opened (bits copied off the mapping, about 10 bits per stored key) until
   compaction, :meth:`drop_generation` or :meth:`close` forgets the entry,
   so a re-borrow after eviction maps only the deltas a matched read may
   need.  The base stays eager because compaction renames the merged
-  segment over its path; a superseded delta keeps its file until its last
-  holder closes, and no append reuses a name still on disk.
+  segment over its path.
+
+One count decides when a mapping closes and a file goes.  An open record
+(``_OpenStore``) counts one reference for the cache while cached plus one
+per pin, and closes its mappings at 0.  Until then it holds the delta files
+of its generation set; a delta file a compaction or full re-flush
+supersedes is unlinked once no open record of the process holds it
+(``_FILES``), so a session pinned across either keeps its unopened deltas,
+and no append reuses a name still on disk.
 
 The manifest records, per store generation: the node, the strategy triple,
 the generation ordinal (omitted when 0 — a never-appended catalog is
@@ -225,9 +229,54 @@ class CompactionReport:
         return not self.skipped
 
 
-@dataclass
+class _FileHolds:
+    """The segment files open records may still map, by absolute path, and
+    the superseded ones among them.  One table serves the process, because
+    two catalogs over one directory share files: the old and the new
+    catalog of an in-place re-flush, or two engines serving one directory."""
+
+    def __init__(self):
+        self._lock = lockcheck.make_lock("catalog.files")
+        self._holds: dict[str, int] = {}
+        self._superseded: set[str] = set()
+
+    def hold(self, paths: Iterable[str]) -> None:
+        with self._lock:
+            for path in paths:
+                self._holds[path] = self._holds.get(path, 0) + 1
+
+    def release(self, paths: tuple[str, ...]) -> list[str]:
+        """Drop one hold on each of ``paths``; returns the superseded ones
+        nothing holds any more, for the caller to unlink."""
+        with self._lock:
+            for path in paths:
+                left = self._holds.pop(path) - 1
+                if left:
+                    self._holds[path] = left
+            return self._unheld_locked(paths)
+
+    def supersede(self, paths: list[str]) -> list[str]:
+        """Mark ``paths`` superseded; returns the ones nothing holds, for
+        the caller to unlink now (the rest go with their last holder)."""
+        with self._lock:
+            self._superseded.update(paths)
+            return self._unheld_locked(paths)
+
+    def _unheld_locked(self, paths) -> list[str]:
+        gone = [p for p in paths if p in self._superseded and p not in self._holds]
+        self._superseded.difference_update(gone)
+        return gone
+
+
+_FILES = _FileHolds()
+
+
+@dataclass(eq=False)
 class _OpenStore:
-    """One open (cached) store: the shared object plus its pin state.
+    """One open store: the shared object plus its lifetime count ``refs``
+    (one for the cache while in ``StoreCatalog._open``, one per pin); it
+    closes at 0 (:meth:`StoreCatalog._unref_locked`) and holds ``files``
+    until then.
 
     ``store`` is None while the first borrower is still opening the
     segment; ``ready`` flips once the load finished (or failed, in which
@@ -241,17 +290,17 @@ class _OpenStore:
     store: OpLineageStore | None
     #: the base generation's manifest bytes
     nbytes: int
-    pins: int = 0
+    #: the delta files of the generation set this record serves (a base
+    #: is never superseded: compaction and re-flush rename over it)
+    files: tuple[str, ...]
+    #: the cache's reference and the first borrower's pin
+    refs: int = 2
     #: the overlay's lazily opened delta generations (empty for one
     #: generation)
     lazy: tuple[LazySource, ...] = ()
     #: 2Q tier: first-touch stores sit in ``probation`` (FIFO, first
     #: eviction victims); a re-reference promotes to ``protected`` (LRU)
     tier: str = "probation"
-    #: set when the LRU evicted this record (it has left the cache)
-    evicted: bool = False
-    #: True once the backing mapping was closed
-    closed: bool = False
     #: the exception the opening thread hit, for waiting borrowers
     error: BaseException | None = None
     ready: threading.Event = field(default_factory=threading.Event)
@@ -259,9 +308,7 @@ class _OpenStore:
     def resident_bytes(self) -> int:
         """What this record costs the budget: its base segment's manifest
         bytes (reserved while the store is still loading) plus the deltas
-        its overlay has opened, and nothing once closed."""
-        if self.closed:
-            return 0
+        its overlay has opened."""
         return self.nbytes + sum(source.resident_bytes() for source in self.lazy)
 
 
@@ -276,6 +323,7 @@ class StoreCatalog:
         memory_budget_bytes: int | None = None,
     ):
         self.directory = directory
+        self._root = os.path.abspath(directory)
         #: cap on resident (mapped) segment bytes; None means unbounded,
         #: which preserves the pre-LRU behaviour of earlier releases
         self.memory_budget_bytes = memory_budget_bytes
@@ -310,14 +358,9 @@ class StoreCatalog:
         #: and admits straight to the protected tier — the scan-resistance
         #: half-life.  Bounded; oldest forgotten first.
         self._ghost: "OrderedDict[tuple[str, StorageStrategy], None]" = OrderedDict()
-        #: records evicted while pinned: out of the cache, not yet closed
-        self._lingering: list[_OpenStore] = []
-        #: files superseded by a compaction while readers still held the old
-        #: generation set: ``(records still serving them, paths)`` — the
-        #: paths are unlinked when the *last* of those records closes (pins
-        #: delay unlink; a reader must never lose a file it may still map,
-        #: lazily or otherwise)
-        self._deferred_unlink: list[tuple[list, list[str]]] = []
+        #: records that left the cache while pinned: not closed yet, so
+        #: still charged to the budget, and closed by :meth:`close`
+        self._lingering: set[_OpenStore] = set()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -351,7 +394,8 @@ class StoreCatalog:
 
         A full write collapses generations: flushing an
         :class:`~repro.core.overlay.OverlayStore` writes the merged segment,
-        and any stale delta files of the written stores are removed."""
+        and the delta files of the written stores are removed once no open
+        record (of this process) may still map them."""
         try:
             os.makedirs(directory, exist_ok=True)
         except OSError as exc:
@@ -359,6 +403,7 @@ class StoreCatalog:
                 f"cannot create catalog directory {directory!r}: {exc}"
             ) from exc
         entries: list[CatalogEntry] = []
+        stale: list[str] = []
         total = 0
         for (node, strategy), store in stores.items():
             fname = store_filename(node, strategy)
@@ -378,11 +423,14 @@ class StoreCatalog:
                 )
             )
             # a full flush supersedes every delta generation of this store
-            for gen, gen_path in seglib.generation_files(path).items():
-                if gen != 0:
-                    seglib.remove_segment(gen_path)
+            stale += [
+                os.path.abspath(gen_path)
+                for gen, gen_path in seglib.generation_files(path).items()
+                if gen != 0
+            ]
         catalog = cls(directory, entries, memory_budget_bytes=memory_budget_bytes)
         total += catalog.save_manifest()
+        cls._reclaim(_FILES.supersede(stale))
         return catalog, total
 
     def save_manifest(self) -> int:
@@ -529,8 +577,7 @@ class StoreCatalog:
         with self._lock:
             merged = self._entries.get(key, ()) + (entry,)
             self._entries[key] = tuple(sorted(merged, key=lambda e: e.gen))
-            record = self._open.pop(key, None)
-            stale = self._retire_locked(record) if record is not None else []
+            stale = self._retire_locked(key)
         self._reclaim(stale)
         return nbytes
 
@@ -646,9 +693,7 @@ class StoreCatalog:
             gen=0,
             filters=merged.persists_filters(),
         )
-        stale = [
-            os.path.join(self.directory, e.file) for e in generations if e.gen != 0
-        ]
+        stale = [self._path(e) for e in generations if e.gen != 0]
         merged_gens = {e.gen for e in generations}
         with self._lock:
             # generations appended while we merged survive as deltas over
@@ -661,22 +706,11 @@ class StoreCatalog:
             )
             for gen in merged_gens:
                 self._resident_filters.pop((key, gen), None)
-            record = self._open.pop(key, None)
-            # every record still serving the OLD generation set: the one we
-            # just popped, plus any evicted-while-pinned stragglers
-            holders = [r for r in self._lingering if r.key == key]
-            if record is not None:
-                holders.append(record)
+            # closes now unless a session pins it
+            unlinkable = self._retire_locked(key)
         self.save_manifest()
-        with self._lock:
-            unlinkable: list[str] = []
-            if record is not None:
-                # closes now unless a session pins it
-                unlinkable += self._retire_locked(record)
-            # readers of the old set keep their files until the last one
-            # closes; with no live holder this unlinks immediately
-            unlinkable += self._defer_unlink_locked(holders, stale)
-        self._reclaim(unlinkable)
+        # readers of the old set keep their files until the last one closes
+        self._reclaim(unlinkable + _FILES.supersede(stale))
         return nbytes
 
     # -- opening -------------------------------------------------------------
@@ -771,8 +805,7 @@ class StoreCatalog:
             else:
                 self._entries.pop((node, strategy), None)
             self._resident_filters.pop(((node, strategy), gen), None)
-            record = self._open.pop((node, strategy), None)
-            stale = self._retire_locked(record) if record is not None else []
+            stale = self._retire_locked((node, strategy))
         self._reclaim(stale)
 
     def manifest_bytes(self, node: str, strategy: StorageStrategy) -> int:
@@ -819,7 +852,7 @@ class StoreCatalog:
                     record.tier = "protected"
                     self._promotions += 1
                 self._open.move_to_end(key)
-                record.pins += 1
+                record.refs += 1
                 self._hits += 1
             else:
                 generations = self._entries.get(key)
@@ -837,10 +870,11 @@ class StoreCatalog:
                     key=key,
                     store=None,
                     nbytes=generations[0].nbytes,
-                    pins=1,
+                    files=tuple(self._path(e) for e in generations[1:]),
                     tier=tier,
                 )
                 self._open[key] = record
+                _FILES.hold(record.files)
                 load_entries = generations  # this thread inserted the placeholder
                 hits = [self._resident_filters.get((key, e.gen)) for e in generations[1:]]
                 delta_filters = [
@@ -855,11 +889,9 @@ class StoreCatalog:
             except BaseException as exc:
                 with self._lock:
                     record.error = exc
-                    record.pins -= 1
-                    record.evicted = True
+                    stale = self._unref_locked(record)
                     if self._open.get(key) is record:
-                        del self._open[key]
-                    stale = self._close_record_locked(record)
+                        stale += self._retire_locked(key)
                 record.ready.set()  # wake waiters; they re-raise via error
                 self._reclaim(stale)
                 raise
@@ -872,7 +904,8 @@ class StoreCatalog:
         record.ready.wait()
         if record.error is not None:
             with self._lock:
-                record.pins -= 1
+                stale = self._unref_locked(record)
+            self._reclaim(stale)
             raise StorageError(
                 f"store ({node!r}, {strategy.label}) failed to open"
             ) from record.error
@@ -902,6 +935,10 @@ class StoreCatalog:
         )
         return OverlayStore([base, *lazy], filter_stats=self._filter_stats), lazy
 
+    def _path(self, entry: CatalogEntry) -> str:
+        """The absolute path of one generation's segment file."""
+        return os.path.join(self._root, entry.file)
+
     def _load_generation(
         self, key: tuple[str, StorageStrategy], entry: CatalogEntry
     ) -> OpLineageStore:
@@ -923,14 +960,13 @@ class StoreCatalog:
         return store, filters
 
     def release(self, record: _OpenStore) -> None:
-        """Drop one pin; a record evicted while pinned closes on the last
-        release, and the budget is re-checked now that a pin is free."""
+        """Drop one pin; a record that left the cache while pinned closes
+        on its last release, and otherwise the budget is re-checked now
+        that a pin is free."""
         with self._lock:
-            record.pins -= 1
-            if record.evicted and record.pins <= 0:
-                stale = self._close_record_locked(record)
-            else:
-                stale = self._evict_over_budget()
+            stale = self._unref_locked(record)
+            if record.refs > 0:
+                stale += self._evict_over_budget()
         self._reclaim(stale)
 
     def open_store(
@@ -954,18 +990,15 @@ class StoreCatalog:
         record = self.borrow(node, strategy)
         if record is None:
             return None
-        store = record.store
         with self._lock:
-            record.pins -= 1
-            if record.evicted and record.pins <= 0:
-                # retired while we held the only pin (e.g. recovery dropped
-                # the entry): close now so the mapping never lingers; the
-                # poisoned store tells the caller loudly
-                stale = self._close_record_locked(record)
-            else:
-                stale = self._evict_over_budget(exclude=record)
+            # retired while we held the only pin (e.g. recovery dropped the
+            # entry), this closes it now so the mapping never lingers; the
+            # poisoned store tells the caller loudly
+            stale = self._unref_locked(record)
+            if record.refs > 0:
+                stale += self._evict_over_budget(exclude=record)
         self._reclaim(stale)
-        return store
+        return record.store
 
     # -- eviction ------------------------------------------------------------
 
@@ -1001,7 +1034,7 @@ class StoreCatalog:
                 for key, record in self._open.items():
                     if (
                         record.tier != wanted_tier
-                        or record.pins > 0
+                        or record.refs > 1  # pinned
                         or record is exclude
                     ):
                         continue
@@ -1016,11 +1049,9 @@ class StoreCatalog:
                     break
             if victim_key is None:
                 break  # everything left is pinned; retry at next release
-            record = self._open.pop(victim_key)
-            record.evicted = True
             self._evictions += 1
             self._remember_ghost_locked(victim_key)
-            unlinkable.extend(self._close_record_locked(record))
+            unlinkable.extend(self._retire_locked(victim_key))
         return unlinkable
 
     def _remember_ghost_locked(self, key: tuple[str, StorageStrategy]) -> None:
@@ -1034,53 +1065,32 @@ class StoreCatalog:
         while len(self._ghost) > capacity:
             self._ghost.popitem(last=False)
 
-    def _close_record_locked(self, record: _OpenStore) -> list[str]:
-        """Close a record's mapping and return the deferred-unlink paths
-        its close released.  Callers hold the lock and MUST pass the
+    def _unref_locked(self, record: _OpenStore) -> list[str]:
+        """Drop one reference to ``record``; at 0 it closes: its mapping is
+        released and its file holds drop.  Returns the superseded files no
+        record holds any more.  Callers hold the lock and MUST pass the
         returned paths to :meth:`_reclaim` after dropping it: unlinks are
-        disk I/O, and the catalog lock is never held across disk I/O
-        (rule SZ002).  The ``store.close()`` itself — an munmap — stays
-        under the lock: it is non-blocking bookkeeping, and running it
-        here keeps resident-byte accounting exact."""
-        unlinkable: list[str] = []
-        if record in self._lingering:
-            self._lingering.remove(record)
-        if not record.closed:
-            record.closed = True
-            if record.store is not None:
-                record.store.close()
-        # release any compaction-superseded files that were waiting on this
-        # record; they unlink when their last holder closes
-        if self._deferred_unlink:
-            remaining: list[tuple[list, list[str]]] = []
-            for holders, files in self._deferred_unlink:
-                holders = [r for r in holders if r is not record and not r.closed]
-                if holders:
-                    remaining.append((holders, files))
-                else:
-                    unlinkable.extend(files)
-            self._deferred_unlink = remaining
-        return unlinkable
+        disk I/O, and the catalog lock is never held across disk I/O (rule
+        SZ002).  The ``store.close()`` itself — an munmap — stays under the
+        lock: it is non-blocking bookkeeping, and running it here keeps
+        resident-byte accounting exact."""
+        record.refs -= 1
+        if record.refs != 0:  # still referenced (or a release after close())
+            return []
+        self._lingering.discard(record)
+        if record.store is not None:
+            record.store.close()
+        return _FILES.release(record.files)
 
-    def _defer_unlink_locked(self, holders: list, files: list[str]) -> list[str]:
-        """Queue ``files`` behind ``holders``; returns the ones with no
-        live holder, which the caller unlinks after dropping the lock."""
-        holders = [r for r in holders if not r.closed]
-        if not files:
+    def _retire_locked(self, key: tuple[str, StorageStrategy]) -> list[str]:
+        """Take ``key``'s record (if any) out of the cache and drop the
+        cache's reference: it closes now, or lingers until its last
+        release while pinned.  Returns paths to reclaim."""
+        record = self._open.pop(key, None)
+        if record is None:
             return []
-        if holders:
-            self._deferred_unlink.append((holders, list(files)))
-            return []
-        return list(files)
-
-    def _retire_locked(self, record: _OpenStore) -> list[str]:
-        """Close (or defer-close) a record leaving the cache outside the
-        normal eviction path (drop / close); returns paths to reclaim."""
-        record.evicted = True
-        if record.pins > 0:
-            self._lingering.append(record)
-            return []
-        return self._close_record_locked(record)
+        self._lingering.add(record)
+        return self._unref_locked(record)
 
     @staticmethod
     def _reclaim(paths: list[str]) -> None:
@@ -1126,15 +1136,11 @@ class StoreCatalog:
     def retire(self) -> None:
         """Leave service after a full re-flush of this directory superseded
         it: unpinned mappings close now, pinned ones on their last
-        :meth:`release`.  Pending compaction unlinks are dropped — the
-        re-flush already removed those delta files, and the catalog that
-        replaces this one may reuse their names."""
+        :meth:`release`, and the delta files the re-flush superseded go
+        with the last record that may map them."""
         with self._lock:
-            records = list(self._open.values())
-            self._open.clear()
-            self._deferred_unlink.clear()
-            for record in records:
-                self._retire_locked(record)
+            stale = [path for key in list(self._open) for path in self._retire_locked(key)]
+        self._reclaim(stale)
 
     def close(self) -> None:
         """Close every open mapping and empty the cache.
@@ -1142,14 +1148,11 @@ class StoreCatalog:
         Pinned records are closed too — callers must first end their
         sessions; this is the shutdown path, not an eviction."""
         with self._lock:
-            records = list(self._open.values()) + list(self._lingering)
-            self._open.clear()
-            self._lingering.clear()
+            stale = [path for key in list(self._open) for path in self._retire_locked(key)]
+            for record in list(self._lingering):
+                record.refs = 1  # shutdown: the outstanding pins stop counting
+                stale += self._unref_locked(record)
             self._resident_filters.clear()
-            stale: list[str] = []
-            for record in records:
-                record.evicted = True
-                stale.extend(self._close_record_locked(record))
         self._reclaim(stale)
 
     def __enter__(self) -> "StoreCatalog":

@@ -131,6 +131,10 @@ class LazySource:
     ``lowered_ready`` and ``persists_filters`` answer from the entry;
     every other read maps the source and delegates to it.  Not a layout
     store itself, so a delegated read is one store call, not two.
+
+    The owning catalog record decides when it closes, never under a pin;
+    :meth:`close` drops the opener, so a later read raises instead of
+    mapping the segment again.
     """
 
     #: the ``filters`` of a source never opened in this catalog
@@ -142,10 +146,11 @@ class LazySource:
         self.out_shape = entry.out_shape
         self.in_shapes = entry.in_shapes
         self._entry = entry
+        #: maps the segment; None once the source is closed
         self._opener = opener
         self._filters = filters
         self._store: OpLineageStore | None = None
-        self._closed = False
+        #: makes the install of a racing first read happen once
         self._lock = lockcheck.make_lock("overlay.lazy")
 
     def resident_bytes(self) -> int:
@@ -157,10 +162,11 @@ class LazySource:
         store = self._store
         if store is not None:
             return store
-        if not self._closed:
-            fresh, filters = self._opener()
+        opener = self._opener
+        if opener is not None:
+            fresh, filters = opener()
             with self._lock:
-                if not self._closed and self._store is None:
+                if self._opener is not None and self._store is None:
                     # filters first: a reader that sees the store set must
                     # also see them
                     if self._filters is self.UNKNOWN:
@@ -178,9 +184,9 @@ class LazySource:
 
     def close(self) -> None:
         with self._lock:
-            self._closed = True
             # a closed source reads (and raises) rather than skip
             store, self._store, self._filters = self._store, None, None
+            self._opener = None
         if store is not None:
             store.close()
 

@@ -342,8 +342,7 @@ class LineageRuntime:
                 self._catalog.close()
                 self._catalog = None
             for store in self._stores.values():
-                if store._segment is not None:
-                    store.close()
+                store.close()
 
     def __enter__(self) -> "LineageRuntime":
         return self

@@ -408,7 +408,7 @@ class SubZero:
         partitioned catalog accounts its scatter plan per request).
         Results come back in input order.  Each worker thread runs queries
         through its own :class:`~repro.core.query.QuerySession`, so all
-        threads share one mmap per store (open-once/share-many) and the
+        threads share one mmap per store (the catalog's open record) and the
         memory budget's eviction never closes a store under a reader.
         ``max_workers <= 1`` runs sequentially — through one session, so a
         single-worker batch gets the same pinning (no eviction churn

@@ -33,13 +33,13 @@ sections changes incompatibly; readers refuse *newer* versions and keep
 accepting all older ones.  Adding new (optional) section names is not a
 version bump — readers ignore sections they do not ask for.
 
-Sharing and lifecycle: a mapped :class:`Segment` is *open-once/share-many* —
-it carries a reference count (:meth:`Segment.acquire` / :meth:`Segment.close`)
-so N reader threads reuse one mmap, and the mapping is released when the
-last holder closes.  Releasing is best-effort under live numpy views (the OS
-mapping survives until the final exported buffer dies), but a closed handle
-refuses all further section access, which is the invariant the serving
-cache's eviction relies on.
+Lifecycle: a mapped :class:`Segment` has one owner, the store that loaded
+it.  Readers share a mapping by sharing that store, and the serving catalog's
+record decides when the store closes (one lifetime count per record, see
+:mod:`repro.core.catalog`).  Releasing is best-effort under live numpy views
+(the OS mapping survives until the final exported buffer dies), but a closed
+handle refuses all further section access, so a store read after its record
+closed fails loudly instead of answering off freed memory.
 
 Generations: an *incremental* flush appends a store's new lineage as a
 **delta segment** next to the base one instead of rewriting it.  Generation
@@ -242,54 +242,35 @@ class SegmentWriter:
 class Segment:
     """A read-only, lazily mapped segment file (see module docstring).
 
-    Mappings are refcounted so one open segment is shared by many readers:
-    :meth:`acquire` hands out another reference, :meth:`close` drops one,
-    and the mmap is released when the count reaches zero.  After the last
-    close every section accessor raises, so a cache that evicted the
-    segment can never serve reads through a stale handle.
+    After :meth:`close` every section accessor raises, so a cache that
+    closed the segment can never serve reads through a stale handle.
     """
 
     def __init__(self, path: str, sections: dict[str, dict], mm: mmap.mmap):
         self.path = path
         self._sections = sections
         self._mm = mm
-        self._refs = 1
-        self._lock = lockcheck.make_lock("segment.refs")
+        self.closed = False
 
-    # -- sharing / lifecycle -------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._refs <= 0
-
-    def acquire(self) -> "Segment":
-        """Take another reference to the shared mapping."""
-        with self._lock:
-            if self._refs <= 0:
-                raise StorageError(f"segment {self.path!r} is closed")
-            self._refs += 1
-        return self
+    # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Drop one reference; the mapping is released at zero.
+        """Release the mapping; a second call does nothing.
 
         Releasing is best-effort: live numpy views over the mapping export
         its buffer, in which case the OS mapping survives until the last
         view is garbage-collected — but the handle is *logically* closed
         either way, and further section access raises.
         """
-        with self._lock:
-            if self._refs <= 0:
-                return
-            self._refs -= 1
-            if self._refs > 0:
-                return
-            try:
-                self._mm.close()
-            except BufferError:
-                # numpy views still export the buffer; the mapping is freed
-                # when the last view dies.  The handle stays closed.
-                pass
+        if self.closed:
+            return
+        self.closed = True
+        try:
+            self._mm.close()
+        except BufferError:
+            # numpy views still export the buffer; the mapping is freed
+            # when the last view dies.  The handle stays closed.
+            pass
 
     def __enter__(self) -> "Segment":
         return self
@@ -298,7 +279,7 @@ class Segment:
         self.close()
 
     def _check_open(self) -> None:
-        if self._refs <= 0:
+        if self.closed:
             raise StorageError(f"segment {self.path!r} is closed")
 
     @classmethod

@@ -423,9 +423,7 @@ class TestCompaction:
         # borrow/release cycle of the same key (hit keeps it), so evict by
         # hand through the private path the LRU uses
         with catalog._lock:
-            catalog._open.pop(record.key)
-            record.evicted = True
-            catalog._lingering.append(record)
+            assert catalog._retire_locked(record.key) == []
         gen_files = [f for f in os.listdir(tmp_path) if ".gen." in f]
         report = catalog.compact()
         assert report.compacted

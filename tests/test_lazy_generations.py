@@ -153,6 +153,34 @@ class TestLazyOpens:
         catalog.close()
 
 
+def test_reader_pinned_across_in_place_reflush_keeps_its_deltas(tmp_path):
+    """A full re-flush into the directory of a catalog a reader has pinned
+    (with every delta still lazy) leaves that reader its generation set:
+    it answers every cell, and the superseded delta files go at its last
+    release.  A new append meanwhile skips the names still on disk."""
+    _tiled_catalog(str(tmp_path))
+    key = ("n", FULL_ONE_B)
+    old = StoreCatalog.open(str(tmp_path))
+    deltas = [tmp_path / e.file for e in old.generations_for(*key)[1:]]
+    record = old.borrow(*key)  # base mapped, four deltas lazy
+    new, _ = StoreCatalog.write(str(tmp_path), {key: _tile_store(0)})
+    old.retire()
+    new.append_stores({key: _tile_store(1)})
+    assert [e.gen for e in new.generations_for(*key)] == [0, len(deltas) + 1]
+    everything = np.arange(TILE_SHAPE[0] * TILE_SHAPE[1], dtype=np.int64)
+    matched, per_input = record.store.backward_full(everything)
+    assert matched.all() and sorted(per_input[0].tolist()) == everything.tolist()
+    assert all(path.exists() for path in deltas)
+    old.release(record)
+    assert not any(path.exists() for path in deltas)
+    fresh = new.borrow(*key)
+    matched, _ = fresh.store.backward_full(everything)
+    assert matched.sum() == 2 * TILE_ROWS * TILE_SHAPE[1]  # tiles 0 and 1
+    new.release(fresh)
+    new.close()
+    old.close()
+
+
 class _FakeStore:
     def __init__(self):
         self.closed = False

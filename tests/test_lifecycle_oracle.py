@@ -57,7 +57,6 @@ from repro.core.modes import LineageMode
 from repro.core.query import QueryRequest
 from repro.core.reexec import ReExecutor
 from repro.core.subzero import SubZero
-from repro.errors import StorageError
 from repro.workflow.recovery import recover_lineage
 from tests.conftest import SpotUDF
 
@@ -397,14 +396,7 @@ class LifecycleMachine(RuleBasedStateMachine):
             else:
                 self._open_target(data.draw(st.sampled_from(["fresh", "tiny-budget"])))
             for request in [first, *_probes()]:
-                try:
-                    answer = _coords(engine.query(request, session=session))
-                except StorageError:
-                    # a re-flush removed delta files the session had not
-                    # mapped yet: a typed failure, never a wrong answer
-                    if then != "reflush_in_place":
-                        raise
-                    continue
+                answer = _coords(engine.query(request, session=session))
                 assert answer == expected.answer(request), (then, request)
         finally:
             session.close()

@@ -223,13 +223,13 @@ class TestPinningAndEviction:
         catalog = StoreCatalog.open(flushed_workflow["dir"], memory_budget_bytes=1)
         key = catalog.keys()[0]
         record = catalog.borrow(*key)
-        assert record is not None and record.pins == 1
-        assert not record.evicted and not record.closed  # pinned: untouchable
+        assert record is not None and record.refs == 2  # the cache's and the pin
+        assert catalog.is_open(*key)  # pinned: untouchable
         assert catalog.stats()["open_mappings"] == 1
         # the store still answers (mapping alive under the pin)
         assert record.store.n_entries >= 0
         catalog.release(record)
-        assert record.evicted and record.closed  # last pin dropped -> closed
+        assert record.refs == 0 and not catalog.is_open(*key)  # last pin -> closed
         assert record.store._segment is None
         assert catalog.stats()["open_mappings"] == 0
         assert catalog.stats()["evictions"] == 1
@@ -260,16 +260,13 @@ class TestPinningAndEviction:
         writer.add_array("vec", np.arange(16, dtype=np.int64))
         writer.write(path)
         seg = Segment.open(path)
-        seg.acquire()  # two holders
-        seg.close()
-        assert not seg.closed  # one reference remains
+        assert not seg.closed
         assert seg.array("vec").size == 16
         seg.close()
+        seg.close()  # a second close does nothing
         assert seg.closed
         with pytest.raises(StorageError, match="closed"):
             seg.array("vec")
-        with pytest.raises(StorageError, match="closed"):
-            seg.acquire()
 
     def test_session_pins_against_concurrent_eviction_pressure(self, flushed_workflow):
         """A session's store keeps answering while another thread churns
