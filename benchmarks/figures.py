@@ -18,11 +18,13 @@ Run with::
     REPRO_BENCH_FULL=1 PYTHONPATH=src python -m pytest benchmarks/figures.py -q -s
 """
 
+import hashlib
 import os
 import shutil
 import statistics
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from repro.bench.harness import (
 )
 from repro.bench.micro import MicroBenchmark
 from repro.bench.report import ResultTable
-from repro.core.catalog import StoreCatalog
+from repro.core.catalog import StoreCatalog, store_filename
 from repro.core.lineage_store import RegionEntryTable, make_store
 from repro.core.model import BufferSink, ElementwiseBatch
 from repro.core.query import QueryRequest
@@ -820,7 +822,12 @@ def test_maintenance_holds_read_amplification_under_appends(tmp_path):
     for delta in deltas:
         single.absorb(delta)
     single.finalize_if_possible()
-    amp = scan_amplification(stress_dir, flushed(str(tmp_path / "single"), [single]), query)
+    single_dir = flushed(str(tmp_path / "single"), [single])
+    # the exact claim beside the timing: the worker's compaction wrote the
+    # very segment a single flush of the same lineage writes
+    segment = [Path(d, store_filename(*CAT_KEY)).read_bytes() for d in (stress_dir, single_dir)]
+    assert hashlib.sha256(segment[0]).hexdigest() == hashlib.sha256(segment[1]).hexdigest()
+    amp = scan_amplification(stress_dir, single_dir, query)
     print(f"\nsteady-state scan after maintenance: {amp:.2f}x the single flush")
     assert amp <= 1.2
 
