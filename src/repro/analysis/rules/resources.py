@@ -8,7 +8,7 @@ import ast
 from repro.analysis.engine import dotted_name
 from repro.analysis.rules.base import Rule
 
-#: method names whose call site takes a refcounted/pinned resource
+#: method names whose call site takes a pinned resource or a semaphore slot
 _ACQUIRERS = {"acquire", "borrow"}
 #: method names that give one back
 _RELEASERS = {"release", "close"}
@@ -43,8 +43,8 @@ class SZ001(Rule):
             method = _call_method(node)
             if method not in _ACQUIRERS:
                 continue
-            # `self.acquire()` inside the resource class itself (re-entrant
-            # refcounting) is the implementation, not a leak site
+            # an acquisition API (or an opener) handing the resource to its
+            # caller is the implementation, not a leak site
             func = ctx.enclosing_function(node)
             if func is not None and (
                 func.name in _OWNERSHIP_FORWARDERS

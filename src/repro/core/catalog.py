@@ -607,9 +607,9 @@ class StoreCatalog:
         before the manifest swap leaves the old manifest pointing at the
         merged base plus the deltas — an overlay of a superset, still
         correct); finally the superseded delta generations are unlinked,
-        deferred until the last pin drops when the key is currently
-        borrowed.  Mutating maintenance (appends, other compactions) is
-        serialized with this call; readers are not blocked.
+        deferred until the last open record that may map them closes.
+        Mutating maintenance (appends, other compactions) is serialized
+        with this call; readers are not blocked.
         """
         with self._maintenance_lock:
             # szlint: ignore[SZ002] -- the maintenance lock exists to serialize merge I/O; readers never take it
@@ -991,9 +991,9 @@ class StoreCatalog:
         if record is None:
             return None
         with self._lock:
-            # retired while we held the only pin (e.g. recovery dropped the
-            # entry), this closes it now so the mapping never lingers; the
-            # poisoned store tells the caller loudly
+            # a record retired while we held the only pin (e.g. recovery
+            # dropped the entry) closes now, so the mapping never lingers;
+            # the poisoned store tells the caller loudly
             stale = self._unref_locked(record)
             if record.refs > 0:
                 stale += self._evict_over_budget(exclude=record)
@@ -1004,9 +1004,9 @@ class StoreCatalog:
 
     def _evict_over_budget(self, exclude: _OpenStore | None = None) -> list[str]:
         """Evict (2Q order: probation FIFO, then protected LRU) until
-        resident bytes fit the budget; returns the deferred-unlink paths
-        the evictions released (the caller reclaims them after dropping
-        the lock).
+        resident bytes fit the budget; returns the superseded files the
+        evictions released (the caller reclaims them after dropping the
+        lock).
 
         Only *unpinned* records are eligible — classic buffer-pool
         semantics: borrowed stores stay shared and mapped, and the cache

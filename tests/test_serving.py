@@ -13,7 +13,7 @@ Four layers under test:
   segment handle refuses section access.
 * **atomic manifest** — a crash mid-``save_manifest`` leaves the previous
   ``catalog.json`` intact (tmp + rename), not a truncated brick.
-* **lifecycle** — Segment refcounting, catalog/SubZero close() and context
+* **lifecycle** — Segment close, catalog/SubZero close() and context
   managers, serving counters on ``QueryResult.explain()``.
 """
 
